@@ -75,6 +75,68 @@ func TestWorkerPoolCheckMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestCheckViolatedResultIndependentOfWorkers pins that a violated check
+// returns the same Result — witness and every counter — and persists the
+// same verdict record bytes at 1, 2 and 4 in-process workers and through a
+// two-worker pool. The counters must not depend on how the goroutines
+// race, because the Result is what the verdict cache stores.
+func TestCheckViolatedResultIndependentOfWorkers(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		mk   func() (*iabc.Graph, error)
+		f    int
+	}{
+		{"core19-f7", func() (*iabc.Graph, error) { return iabc.CoreNetwork(19, 6) }, 7},
+		{"chord11-f3", func() (*iabc.Graph, error) { return iabc.Chord(11, 3) }, 3},
+	} {
+		g, err := tc.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(opt iabc.Option) (iabc.CheckResult, map[string]string) {
+			mem := iabc.NewMemBackend()
+			res, err := iabc.Check(ctx, g, tc.f, opt, iabc.WithBackend(mem))
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			keys, err := mem.List(ctx, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			records := make(map[string]string, len(keys))
+			for _, k := range keys {
+				raw, err := mem.Read(ctx, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				records[k] = string(raw)
+			}
+			return res, records
+		}
+		want, wantRecords := run(iabc.WithWorkers(1))
+		if want.Satisfied || len(wantRecords) != 1 {
+			t.Fatalf("%s: want a violation and one verdict record, got %+v, records %v", tc.name, want, wantRecords)
+		}
+		for _, alt := range []struct {
+			name string
+			opt  iabc.Option
+		}{
+			{"workers=2", iabc.WithWorkers(2)},
+			{"workers=4", iabc.WithWorkers(4)},
+			{"pool=2", iabc.WithWorkerPool(2)},
+		} {
+			got, records := run(alt.opt)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: Result %+v, workers=1 %+v", tc.name, alt.name, got, want)
+			}
+			if !reflect.DeepEqual(records, wantRecords) {
+				t.Errorf("%s %s: persisted records differ from the workers=1 run", tc.name, alt.name)
+			}
+		}
+	}
+}
+
 // TestWorkerPoolMaxFMatchesLocal distributes the whole f-sweep and compares
 // best f plus every aggregated stat against the local scan.
 func TestWorkerPoolMaxFMatchesLocal(t *testing.T) {

@@ -326,7 +326,7 @@ func MaxFWithStats(g *graph.Graph) (int, MaxFStats, error) {
 // MaxFOptions configures MaxFScan.
 type MaxFOptions struct {
 	// Workers is the per-check worker count (see CheckScan); 0 — the zero
-	// value — runs the sequential scan, < 0 selects GOMAXPROCS.
+	// value — scans on one goroutine, < 0 selects GOMAXPROCS.
 	Workers int
 	// OnCheck, when non-nil, is invoked after each completed Check with the
 	// f just decided and its Result — the f-sweep's progress stream. It is

@@ -22,8 +22,8 @@ import (
 // hooks (nodeset.SubsetsAscendingSizeHooked) was measured too: with the
 // exact checker capped at n−f ≤ 62, every set is one machine word, so the
 // fused popcount beats paying O(out-degree) per enumeration transition by
-// ~2× on the condition benchmarks. One scratch serves one goroutine;
-// CheckParallel gives each worker its own.
+// ~2× on the condition benchmarks. One scratch serves one goroutine; each
+// ShardScanner owns its own.
 type insulationScratch struct {
 	g    *graph.Graph
 	base []int

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"iabc/internal/graph"
-	"iabc/internal/nodeset"
 	"iabc/internal/statestore"
 )
 
@@ -22,30 +21,27 @@ type Progress struct {
 	FaultSetsTotal int64
 }
 
-// ProgressFunc receives Progress snapshots, one per processed fault set.
-// With workers > 1 it is invoked concurrently from worker goroutines and
-// must be safe for concurrent use; it runs on the scan's hot path, so it
-// must be fast.
+// ProgressFunc receives Progress snapshots. CheckScan sends one per
+// satisfied fault set, and with workers > 1 invokes it concurrently from
+// its goroutines, so it must be safe for concurrent use; it runs on the
+// scan's hot path, so it must be fast. The distributed coordinator sends
+// one per worker report instead, with FaultSetsDone its contiguous
+// frontier.
 type ProgressFunc func(Progress)
 
 // totalFaultSets returns Σ_{k=0..f} C(n,k), or 0 when n is outside the
-// binomial table (the count is only reported, never used for control flow).
+// binomial table.
 func totalFaultSets(n, f int) int64 {
 	if n > 62 {
 		return 0
 	}
-	var total int64
-	for k := 0; k <= f && k <= n; k++ {
-		total += binom(n, k)
-	}
-	return total
+	return faultSetCount(n, f)
 }
 
 // ScanOptions configures a CheckScan.
 type ScanOptions struct {
-	// Workers fans the fault-set enumeration across goroutines: ≤ 0 selects
-	// GOMAXPROCS, 1 (or trivially small inputs) runs the sequential scan.
-	// The verdict and witness are identical at every worker count.
+	// Workers is the number of goroutines scanning fault-set ranges: ≤ 0
+	// selects GOMAXPROCS. The Result is identical at every worker count.
 	Workers int
 	// OnProgress, when non-nil, streams one Progress snapshot per processed
 	// fault set (see ProgressFunc for the concurrency contract).
@@ -64,125 +60,129 @@ type ScanOptions struct {
 	CheckpointEvery int
 }
 
+// scanRangeSize is how many consecutive fault sets a CheckScan goroutine
+// claims at a time: large enough that claims and unrankings are rare next
+// to the scan itself, small enough to balance the tail across goroutines
+// and to bound the work wasted above a violation.
+const scanRangeSize = 8
+
 // CheckScan is the full exact-check coordinator behind CheckThreshold and
 // CheckParallel: it decides the Theorem 1 condition at the given in-link
 // threshold with a configurable worker count, honoring ctx, streaming
 // per-fault-set progress, and — with ScanOptions.Store — checkpointing the
 // scan for crash-safe resume plus caching the settled verdict.
 //
+// It is a small range scheduler: each of its goroutines owns a
+// ShardScanner and claims scanRangeSize-long index ranges from one shared
+// counter, journaling every satisfied fault set into the scan frontier.
+// After a violation at index v no range above v is claimed, and the Result
+// is built by the rule the distributed coordinator uses (see shard.go) —
+// so verdict, witness, and every counter are identical at every worker
+// count, and so is the verdict the Store caches.
+//
 // Cancellation is checked between fault sets — never inside the candidate
 // enumeration — so CheckScan returns within one fault set's scan time of
 // ctx being canceled. On cancellation (or any error) the returned Result
-// carries the work counters accumulated so far, but Satisfied and Witness
-// are meaningless; the error wraps ctx.Err() together with how far the scan
-// got. With a Store, an interrupted scan flushes a final checkpoint before
-// returning, so the next CheckScan with the same store resumes there.
-//
-// With workers > 1 the workers race, but the reported witness always comes
-// from the lowest-indexed failing fault set in canonical enumeration order,
-// which is the one the sequential scan would return.
+// carries the frontier — the contiguous prefix of satisfied fault sets and
+// its work counters — but Satisfied and Witness are meaningless; the error
+// wraps ctx.Err() together with how far the scan got. With a Store, an
+// interrupted scan flushes a final checkpoint before returning, so the next
+// CheckScan with the same store resumes there.
 func CheckScan(ctx context.Context, g *graph.Graph, f, threshold int, opts ScanOptions) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := g.N()
-	if f < 0 {
-		return Result{}, fmt.Errorf("condition: f must be >= 0, got %d", f)
+	total, err := scanExtent(g, f, threshold)
+	if err != nil {
+		return Result{}, err
 	}
-	if threshold < 1 {
-		return Result{}, fmt.Errorf("condition: threshold must be >= 1, got %d", threshold)
+	st, cached, err := loadScanState(ctx, opts.Store, g, f, threshold, opts.CheckpointEvery)
+	if err != nil {
+		return Result{}, err
 	}
-	if n-f > 62 {
-		return Result{}, fmt.Errorf("condition: exact check infeasible for n-f = %d > 62 nodes", n-f)
+	if cached != nil {
+		return *cached, nil
 	}
-	var st *scanState
-	if opts.Store != nil {
-		var cached *Result
-		var err error
-		st, cached, err = loadScanState(ctx, opts.Store, g, f, threshold, opts.CheckpointEvery)
-		if err != nil {
-			return Result{}, err
-		}
-		if cached != nil {
-			return *cached, nil
-		}
-	}
+	skip, _ := st.resumePoint()
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || n < 8 {
-		return checkSequential(ctx, g, f, threshold, opts.OnProgress, st)
-	}
-	return checkParallel(ctx, g, f, threshold, workers, opts.OnProgress, st)
-}
+	workers = int(max(1, min(int64(workers), (total-skip+scanRangeSize-1)/scanRangeSize)))
+	reportedTotal := totalFaultSets(g.N(), f)
 
-// checkSequential is the single-goroutine fault-set scan — the reference
-// enumeration order the parallel scan's witness selection reproduces. With
-// a scanState it skips the checkpointed prefix (restoring its counter
-// aggregate) and checkpoints completed fault sets as it goes.
-func checkSequential(ctx context.Context, g *graph.Graph, f, threshold int, onProgress ProgressFunc, st *scanState) (Result, error) {
-	n := g.N()
-	universe := nodeset.Universe(n)
-	total := totalFaultSets(n, f)
-	skip, resumed := st.resumePoint()
-	res := Result{Satisfied: true, FaultSetsExamined: skip, FaultSetsResumed: skip}
-	scratch := newInsulationScratch(g)
-	var counters checkCounters
-	var idx int64 // position in the canonical enumeration order
-	var scanErr error
-
-	for fSize := 0; fSize <= f && fSize <= n; fSize++ {
-		nodeset.SubsetsAscendingSize(universe, fSize, fSize, func(fSet nodeset.Set) bool {
-			if idx < skip {
-				// Checkpointed prefix: satisfied, counters restored below.
-				idx++
-				return true
-			}
-			if ctx.Err() != nil {
-				scanErr = fmt.Errorf("condition: check canceled after %d/%d fault sets: %w",
-					res.FaultSetsExamined, total, context.Cause(ctx))
-				return false
-			}
-			res.FaultSetsExamined++
-			before := counters
-			ground := universe.Difference(fSet)
-			w := findDisjointInsulatedPair(scratch, ground, threshold, &counters)
-			if w != nil {
-				w.F = fSet.Clone()
-				w.C = ground.Difference(w.L).Difference(w.R)
-				res.Satisfied = false
-				res.Witness = w
-				return false
-			}
-			if scanErr = st.complete(ctx, idx, checkCounters{
-				candidates: counters.candidates - before.candidates,
-				pruned:     counters.pruned - before.pruned,
-				memoHits:   counters.memoHits - before.memoHits,
-			}); scanErr != nil {
-				return false
-			}
-			idx++
-			if onProgress != nil {
-				onProgress(Progress{FaultSetsDone: res.FaultSetsExamined, FaultSetsTotal: total})
-			}
-			return true
-		})
-		if !res.Satisfied || scanErr != nil {
-			break
+	var (
+		next    atomic.Int64 // first unclaimed fault-set index
+		limit   atomic.Int64 // claims stop here: the lowest violation, total, or -1 on error
+		done    atomic.Int64 // fault sets completed, for OnProgress
+		mu      sync.Mutex   // guards viol and scanErr, and every write to limit
+		viol    RangeResult
+		scanErr error
+	)
+	next.Store(skip)
+	limit.Store(total)
+	done.Store(skip)
+	satisfied := func(i int64, delta checkCounters) error {
+		if err := st.completeSpan(ctx, i, i+1, delta); err != nil {
+			return err
 		}
+		if opts.OnProgress != nil {
+			opts.OnProgress(Progress{FaultSetsDone: done.Add(1), FaultSetsTotal: reportedTotal})
+		}
+		return nil
 	}
-	res.CandidatesExamined = resumed.candidates + counters.candidates
-	res.CandidatesPruned = resumed.pruned + counters.pruned
-	res.MemoHits = resumed.memoHits + counters.memoHits
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			s := newShardScanner(g, f, threshold, total)
+			for {
+				lo := next.Add(scanRangeSize) - scanRangeSize
+				hi := min(lo+scanRangeSize, limit.Load())
+				if lo >= hi {
+					return
+				}
+				rr, err := s.scanRange(ctx, lo, hi, satisfied)
+				if err != nil || rr.Violation >= 0 {
+					mu.Lock()
+					switch {
+					case err != nil:
+						if scanErr == nil {
+							scanErr = err
+						}
+						limit.Store(-1)
+					case rr.Violation < limit.Load():
+						viol = rr
+						limit.Store(rr.Violation)
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// The Result rule of shard.go: the frontier, or on a violation at v the
+	// aggregate over [0, v) plus v's own early-exit counters.
+	frontier, agg := st.position()
+	res := Result{Satisfied: scanErr == nil && viol.Witness == nil, FaultSetsResumed: skip}
+	if scanErr == nil && viol.Witness != nil {
+		res.Witness = viol.Witness
+		frontier = viol.Violation + 1
+		agg.Add(viol.Partial)
+	}
+	res.FaultSetsExamined = frontier
+	res.CandidatesExamined, res.CandidatesPruned, res.MemoHits = agg.Candidates, agg.Pruned, agg.MemoHits
 	if scanErr != nil {
-		// The verdict is undecided on an interrupted scan; only the work
-		// counters are meaningful. Flush a final checkpoint (on a fresh
-		// context — ctx is typically the canceled one) so a resume loses
-		// nothing that completed.
-		res.Satisfied = false
+		// The verdict is undecided on an interrupted scan. Flush a final
+		// checkpoint (on a fresh context — ctx is the canceled one) so a
+		// resume loses at most the out-of-order tail.
 		if ctx.Err() != nil {
-			st.flush(context.Background()) // best effort; scanErr already set
+			st.flush(context.Background()) // best effort; the scan error wins
+			return res, fmt.Errorf("condition: check canceled after %d/%d fault sets: %w",
+				frontier, reportedTotal, context.Cause(ctx))
 		}
 		return res, scanErr
 	}
@@ -192,154 +192,13 @@ func checkSequential(ctx context.Context, g *graph.Graph, f, threshold int, onPr
 	return res, nil
 }
 
-// checkParallel fans the fault-set enumeration across worker goroutines.
-// With a scanState the checkpointed prefix is skipped outright and each
-// completed fault set reports its counter delta to the checkpointer, whose
-// reorder buffer keeps the durable frontier contiguous.
-func checkParallel(ctx context.Context, g *graph.Graph, f, threshold, workers int, onProgress ProgressFunc, st *scanState) (Result, error) {
-	n := g.N()
-	// Materialize the fault sets in canonical (size-ascending, then
-	// combination-lexicographic) order — the same order checkSequential
-	// visits them.
-	universe := nodeset.Universe(n)
-	var faultSets []nodeset.Set
-	for fSize := 0; fSize <= f && fSize <= n; fSize++ {
-		nodeset.SubsetsAscendingSize(universe, fSize, fSize, func(s nodeset.Set) bool {
-			faultSets = append(faultSets, s.Clone())
-			return true
-		})
-	}
-	total := totalFaultSets(n, f)
-	skip, resumed := st.resumePoint()
-	if skip > int64(len(faultSets)) {
-		skip = int64(len(faultSets))
-	}
-
-	witnesses := make([]*Witness, len(faultSets))
-	var (
-		next       atomic.Int64
-		bestFail   atomic.Int64
-		canceled   atomic.Bool
-		candidates atomic.Int64
-		pruned     atomic.Int64
-		memoHits   atomic.Int64
-		examined   atomic.Int64
-		storeMu    sync.Mutex
-		storeErr   error
-	)
-	bestFail.Store(int64(len(faultSets)))
-	next.Store(skip)
-	examined.Store(skip)
-	candidates.Store(resumed.candidates)
-	pruned.Store(resumed.pruned)
-	memoHits.Store(resumed.memoHits)
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			// Per-worker scratch: the base counters, the peel worklist, and
-			// the empty-complement memo all mutate during a fault set.
-			scratch := newInsulationScratch(g)
-			var local checkCounters
-			defer func() {
-				candidates.Add(local.candidates)
-				pruned.Add(local.pruned)
-				memoHits.Add(local.memoHits)
-			}()
-			for !canceled.Load() {
-				i := next.Add(1) - 1
-				if i >= int64(len(faultSets)) {
-					return
-				}
-				if ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
-				if i > bestFail.Load() {
-					// A lower-indexed fault set already failed; anything we
-					// find here would be discarded.
-					continue
-				}
-				done := examined.Add(1)
-				before := local
-				fSet := faultSets[i]
-				ground := universe.Difference(fSet)
-				wit := findDisjointInsulatedPair(scratch, ground, threshold, &local)
-				if wit == nil {
-					if err := st.complete(ctx, i, checkCounters{
-						candidates: local.candidates - before.candidates,
-						pruned:     local.pruned - before.pruned,
-						memoHits:   local.memoHits - before.memoHits,
-					}); err != nil {
-						storeMu.Lock()
-						if storeErr == nil {
-							storeErr = err
-						}
-						storeMu.Unlock()
-						canceled.Store(true)
-						return
-					}
-					if onProgress != nil {
-						onProgress(Progress{FaultSetsDone: done, FaultSetsTotal: total})
-					}
-					continue
-				}
-				wit.F = fSet.Clone()
-				wit.C = ground.Difference(wit.L).Difference(wit.R)
-				witnesses[i] = wit
-				// Lower bestFail to i if i is smaller.
-				for {
-					b := bestFail.Load()
-					if i >= b || bestFail.CompareAndSwap(b, i) {
-						break
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	res := Result{
-		Satisfied:          true,
-		FaultSetsExamined:  examined.Load(),
-		FaultSetsResumed:   skip,
-		CandidatesExamined: candidates.Load(),
-		CandidatesPruned:   pruned.Load(),
-		MemoHits:           memoHits.Load(),
-	}
-	if storeErr != nil {
-		res.Satisfied = false
-		return res, storeErr
-	}
-	if canceled.Load() {
-		res.Satisfied = false
-		// Flush the contiguous frontier so the resume loses at most the
-		// out-of-order tail; ctx is the canceled one, so write on a fresh
-		// context.
-		st.flush(context.Background())
-		return res, fmt.Errorf("condition: check canceled after %d/%d fault sets: %w",
-			examined.Load(), total, context.Cause(ctx))
-	}
-	if b := bestFail.Load(); b < int64(len(faultSets)) {
-		res.Satisfied = false
-		res.Witness = witnesses[b]
-	}
-	if err := st.finish(ctx, res); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
 // CheckParallel is Check with the fault-set enumeration fanned out across
 // worker goroutines — CheckScan at the synchronous threshold, without
-// progress streaming or persistence. The verdict and witness are identical
-// to Check's.
+// progress streaming or persistence. The Result is identical to Check's.
 //
 // The speedup tracks core count when the cost is spread over many fault
-// sets (large n, f ≥ 2) — per-fault-set work is independent and lock-free —
-// though coordination overhead caps the gain on few-core machines.
+// sets (large n, f ≥ 2) — per-fault-set work is independent — though the
+// per-fault-set journaling caps the gain on scans of many cheap fault sets.
 func CheckParallel(ctx context.Context, g *graph.Graph, f, workers int) (Result, error) {
 	return CheckScan(ctx, g, f, SyncThreshold(f), ScanOptions{Workers: workers})
 }

@@ -11,6 +11,8 @@ import (
 	"iabc/internal/topology"
 )
 
+// TestCheckParallelMatchesSequential checks the four-goroutine scan against
+// the independent reference scan on random graphs.
 func TestCheckParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 30; trial++ {
@@ -20,10 +22,7 @@ func TestCheckParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Check(g, f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq := referenceScan(t, g, f, SyncThreshold(f))
 		par, err := CheckParallel(context.Background(), g, f, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -42,6 +41,9 @@ func TestCheckParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("parallel witness invalid: %v", err)
 			}
 		}
+		// The counters too: the scheduler's Result does not depend on how
+		// the goroutines raced.
+		resultEqual(t, par, seq)
 	}
 }
 
@@ -75,8 +77,8 @@ func TestCheckParallelPaperCases(t *testing.T) {
 
 func TestCheckParallelDefaultsAndSmallInputs(t *testing.T) {
 	g := mustComplete(t, 4)
-	// workers <= 0 → GOMAXPROCS; n < 8 → sequential fallback. Both paths
-	// must agree with Check.
+	// workers <= 0 → GOMAXPROCS; more workers than fault-set ranges are
+	// capped. Every count must agree with Check.
 	for _, workers := range []int{-1, 0, 1, 2, 16} {
 		res, err := CheckParallel(context.Background(), g, 1, workers)
 		if err != nil {

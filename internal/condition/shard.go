@@ -1,27 +1,33 @@
 package condition
 
-// This file exports the checker's two distribution seams. A scan is
-// embarrassingly parallel across fault sets, and each fault set's work —
-// verdict contribution and counter delta alike — is a pure function of
-// (graph, ground, threshold): that is the same determinism argument the
-// checkpoint/resume layer rests on (see state.go). The distributed runner
-// in internal/distrib builds on exactly these two pieces:
+// This file holds the checker's one fault-set scan executor and exports it
+// as the distribution seam. A scan is embarrassingly parallel across fault
+// sets, and each fault set's work — verdict contribution and counter delta
+// alike — is a pure function of (graph, ground, threshold): that is the
+// same determinism argument the checkpoint/resume layer rests on (see
+// state.go). Two pieces carry every exact check:
 //
 //   - ShardScanner executes an arbitrary index range of the canonical
-//     fault-set enumeration on a worker, reproducing the sequential scan's
-//     early-exit semantics within the range.
-//   - ScanFrontier is the coordinator's durable contiguous frontier — the
-//     same reorder-buffered checkpointer CheckScan uses internally,
-//     generalized from single indices to lease-sized spans.
+//     fault-set enumeration, stopping at the range's first violation. It is
+//     the kernel of CheckScan's goroutines and of a distributed worker.
+//   - ScanFrontier is the durable contiguous frontier those ranges are
+//     journaled into — the reorder-buffered checkpointer CheckScan feeds one
+//     fault set at a time, which the coordinator in internal/distrib feeds
+//     whole lease chunks.
 //
-// Because both sides are pure in the scan identity, a run sharded across
-// machines — including one where leases expire and are re-executed —
-// finishes with verdict, witness, and counters identical to the
-// single-process scan.
+// The Result follows one rule on every path: the frontier aggregate over
+// the satisfied prefix [0, v), plus the lowest violating fault set v's
+// early-exit counters (RangeResult.Partial), with FaultSetsExamined = v+1.
+// Because both pieces are pure in the scan identity, a run at any worker
+// count — or sharded across machines, with leases expiring and re-executed
+// — finishes with verdict, witness, and counters identical to a
+// one-goroutine scan.
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"iabc/internal/graph"
 	"iabc/internal/nodeset"
@@ -71,17 +77,11 @@ type ScanFrontier struct {
 // LoadScanFrontier consults the store (which may be nil) for the scan
 // identity (g, f, threshold) and returns, in order of preference: a cached
 // verdict (cached != nil — the scan need not run), or a frontier seeded
-// from the newest checkpoint (possibly empty). The validation mirrors
+// from the newest checkpoint (possibly empty). The validation is
 // CheckScan's: f ≥ 0, threshold ≥ 1, n−f ≤ 62.
 func LoadScanFrontier(ctx context.Context, store statestore.Backend, g *graph.Graph, f, threshold, checkpointEvery int) (fr *ScanFrontier, cached *Result, err error) {
-	if f < 0 {
-		return nil, nil, fmt.Errorf("condition: f must be >= 0, got %d", f)
-	}
-	if threshold < 1 {
-		return nil, nil, fmt.Errorf("condition: threshold must be >= 1, got %d", threshold)
-	}
-	if g.N()-f > 62 {
-		return nil, nil, fmt.Errorf("condition: exact check infeasible for n-f = %d > 62 nodes", g.N()-f)
+	if _, err := scanExtent(g, f, threshold); err != nil {
+		return nil, nil, err
 	}
 	st, cached, err := loadScanState(ctx, store, g, f, threshold, checkpointEvery)
 	if err != nil || cached != nil {
@@ -109,11 +109,7 @@ func (fr *ScanFrontier) CompleteSpan(ctx context.Context, lo, hi int64, delta Wo
 
 // Position returns the current contiguous frontier and the counter
 // aggregate over [0, frontier) — resumed prefix included.
-func (fr *ScanFrontier) Position() (int64, WorkCounters) {
-	fr.st.mu.Lock()
-	defer fr.st.mu.Unlock()
-	return fr.st.frontier, exportCounters(fr.st.agg)
-}
+func (fr *ScanFrontier) Position() (int64, WorkCounters) { return fr.st.position() }
 
 // Flush forces a checkpoint write of the current frontier — the last act of
 // an interrupted coordinator, so a resume loses at most the reorder tail.
@@ -132,8 +128,7 @@ type RangeResult struct {
 	// [lo, lo+Completed) passed. Equal to hi−lo iff no violation.
 	Completed int64
 	// Violation is the absolute index of the first violating fault set in
-	// the range, or -1. The scan stops there, exactly like the sequential
-	// scan does.
+	// the range, or -1. The scan stops there.
 	Violation int64
 	// Witness is the violating partition when Violation >= 0.
 	Witness *Witness
@@ -141,79 +136,143 @@ type RangeResult struct {
 	Satisfied WorkCounters
 	// Partial is the violating fault set's own early-exit counter delta —
 	// the work findDisjointInsulatedPair did before stopping at the first
-	// violating candidate. Zero when the range is clean. The single-process
-	// scan includes exactly this partial in its totals, so a distributed
-	// aggregate that adds Partial once (for the lowest violation) matches.
+	// violating candidate. Zero when the range is clean. A Result adds
+	// Partial once, for the lowest violation (see the file comment).
 	Partial WorkCounters
 }
 
 // ShardScanner executes index ranges of the canonical fault-set enumeration
-// for one scan identity (g, f, threshold) — a worker's compute kernel. The
-// fault sets are materialized once in canonical (size-ascending, then
-// combination-lexicographic) order, so any [lo, hi) range is addressable in
-// O(1); the insulation scratch is reused across calls, which is sound
-// because all cross-fault-set state resets per ground (see state.go).
+// (size-ascending, then combination-lexicographic) for one scan identity
+// (g, f, threshold). Fault sets are addressed by rank, never materialized:
+// the scanner keeps one cursor, unranks a range start in O(n·f) — the size
+// class from the binomial prefix sums, then the lexicographic combination —
+// and steps to the next combination in place, so it costs O(n) memory
+// whatever the scan's extent. The insulation scratch is reused across fault
+// sets, which is sound because all cross-fault-set state resets per ground
+// (see state.go).
 //
 // A ShardScanner is not safe for concurrent use; give each goroutine its
 // own.
 type ShardScanner struct {
 	g         *graph.Graph
 	threshold int
-	universe  nodeset.Set
-	faultSets []nodeset.Set
+	total     int64
 	scratch   *insulationScratch
+	// The cursor: fault set number pos, its members ascending, and V minus
+	// them.
+	pos    int64
+	comb   []int
+	ground nodeset.Set
 }
 
-// NewShardScanner materializes the enumeration for (g, f, threshold). The
-// feasibility validation mirrors CheckScan's.
-func NewShardScanner(g *graph.Graph, f, threshold int) (*ShardScanner, error) {
+// scanExtent validates a scan identity against the exact checker's limits
+// and returns its extent (see faultSetCount).
+func scanExtent(g *graph.Graph, f, threshold int) (int64, error) {
 	n := g.N()
 	if f < 0 {
-		return nil, fmt.Errorf("condition: f must be >= 0, got %d", f)
+		return 0, fmt.Errorf("condition: f must be >= 0, got %d", f)
 	}
 	if threshold < 1 {
-		return nil, fmt.Errorf("condition: threshold must be >= 1, got %d", threshold)
+		return 0, fmt.Errorf("condition: threshold must be >= 1, got %d", threshold)
 	}
 	if n-f > 62 {
-		return nil, fmt.Errorf("condition: exact check infeasible for n-f = %d > 62 nodes", n-f)
+		return 0, fmt.Errorf("condition: exact check infeasible for n-f = %d > 62 nodes", n-f)
 	}
-	universe := nodeset.Universe(n)
-	var faultSets []nodeset.Set
-	for fSize := 0; fSize <= f && fSize <= n; fSize++ {
-		nodeset.SubsetsAscendingSize(universe, fSize, fSize, func(s nodeset.Set) bool {
-			faultSets = append(faultSets, s.Clone())
-			return true
-		})
+	total := faultSetCount(n, f)
+	if total < 0 {
+		return 0, fmt.Errorf("condition: exact check infeasible: more than 2^63 fault sets for n = %d, f = %d", n, f)
 	}
+	return total, nil
+}
+
+// faultSetCount returns Σ_{k≤f} C(n,k) — computed past the n ≤ 62 binomial
+// table, unlike NumFaultSets — or -1 when it exceeds an int64.
+func faultSetCount(n, f int) int64 {
+	var total int64
+	for k := 0; k <= f && k <= n; k++ {
+		c := choose(n, k)
+		if c > math.MaxInt64-total {
+			return -1
+		}
+		total += c
+	}
+	return total
+}
+
+// choose returns C(m, k), saturating at math.MaxInt64: the binomial table
+// where it reaches, the multiplicative formula in 128-bit arithmetic beyond.
+func choose(m, k int) int64 {
+	if m <= 62 {
+		return binom(m, k)
+	}
+	if k < 0 || k > m {
+		return 0
+	}
+	c := uint64(1)
+	for i := 0; i < min(k, m-k); i++ {
+		// C(m, i+1) = C(m, i)·(m−i)/(i+1) exactly.
+		hi, lo := bits.Mul64(c, uint64(m-i))
+		if hi >= uint64(i+1) {
+			return math.MaxInt64
+		}
+		if c, _ = bits.Div64(hi, lo, uint64(i+1)); c > math.MaxInt64 {
+			return math.MaxInt64
+		}
+	}
+	return int64(c)
+}
+
+// NewShardScanner returns a scanner for (g, f, threshold), its cursor on
+// fault set 0 (F = ∅). The feasibility validation is CheckScan's.
+func NewShardScanner(g *graph.Graph, f, threshold int) (*ShardScanner, error) {
+	total, err := scanExtent(g, f, threshold)
+	if err != nil {
+		return nil, err
+	}
+	return newShardScanner(g, f, threshold, total), nil
+}
+
+// newShardScanner builds a scanner for an identity scanExtent accepted.
+func newShardScanner(g *graph.Graph, f, threshold int, total int64) *ShardScanner {
 	return &ShardScanner{
-		g: g, threshold: threshold, universe: universe,
-		faultSets: faultSets, scratch: newInsulationScratch(g),
-	}, nil
+		g: g, threshold: threshold, total: total,
+		scratch: newInsulationScratch(g),
+		comb:    make([]int, 0, min(f, g.N())),
+		ground:  nodeset.Universe(g.N()),
+	}
 }
 
 // NumFaultSets returns the enumeration's extent.
-func (s *ShardScanner) NumFaultSets() int64 { return int64(len(s.faultSets)) }
+func (s *ShardScanner) NumFaultSets() int64 { return s.total }
 
-// ScanRange scans fault sets [lo, hi), stopping at the first violation —
-// the sequential scan restricted to the range. Cancellation is checked
-// between fault sets; on cancellation the partial result is discarded and
-// only the error returns (the caller's lease is simply re-run elsewhere).
+// ScanRange scans fault sets [lo, hi), stopping at the first violation.
+// Cancellation is checked between fault sets; on cancellation the partial
+// result is discarded and only the error returns (the caller's lease is
+// simply re-run elsewhere).
 func (s *ShardScanner) ScanRange(ctx context.Context, lo, hi int64) (RangeResult, error) {
+	return s.scanRange(ctx, lo, hi, nil)
+}
+
+// scanRange is ScanRange with a per-fault-set hook: satisfied, when
+// non-nil, is called after each satisfied fault set with its index and
+// counter delta, and an error from it ends the scan. CheckScan journals
+// through it, so checkpoints and progress stay per fault set; the
+// distributed worker, which reports whole slices, passes nil.
+func (s *ShardScanner) scanRange(ctx context.Context, lo, hi int64, satisfied func(i int64, delta checkCounters) error) (RangeResult, error) {
 	res := RangeResult{Violation: -1}
-	if lo < 0 || hi < lo || hi > int64(len(s.faultSets)) {
-		return res, fmt.Errorf("condition: scan range [%d, %d) outside [0, %d)", lo, hi, len(s.faultSets))
+	if lo < 0 || hi < lo || hi > s.total {
+		return res, fmt.Errorf("condition: scan range [%d, %d) outside [0, %d)", lo, hi, s.total)
 	}
 	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("condition: shard scan canceled at fault set %d: %w", i, context.Cause(ctx))
 		}
-		fSet := s.faultSets[i]
-		ground := s.universe.Difference(fSet)
+		s.moveTo(i)
 		var cc checkCounters
-		w := findDisjointInsulatedPair(s.scratch, ground, s.threshold, &cc)
+		w := findDisjointInsulatedPair(s.scratch, s.ground, s.threshold, &cc)
 		if w != nil {
-			w.F = fSet.Clone()
-			w.C = ground.Difference(w.L).Difference(w.R)
+			w.F = nodeset.FromMembers(s.g.N(), s.comb...)
+			w.C = s.ground.Difference(w.L).Difference(w.R)
 			res.Violation = i
 			res.Witness = w
 			res.Partial = exportCounters(cc)
@@ -221,6 +280,80 @@ func (s *ShardScanner) ScanRange(ctx context.Context, lo, hi int64) (RangeResult
 		}
 		res.Completed++
 		res.Satisfied.Add(exportCounters(cc))
+		if satisfied != nil {
+			if err := satisfied(i, cc); err != nil {
+				return res, err
+			}
+		}
 	}
 	return res, nil
+}
+
+// moveTo positions the cursor on fault set idx: one in-place step from the
+// previous fault set — always, within a range — or an unranking.
+func (s *ShardScanner) moveTo(idx int64) {
+	switch idx {
+	case s.pos:
+	case s.pos + 1:
+		s.next()
+	default:
+		s.seek(idx)
+	}
+	s.pos = idx
+}
+
+// seek unranks idx: the size class k from the binomial prefix sums, then
+// the rank within it as a lexicographic k-combination of 0..n−1.
+func (s *ShardScanner) seek(idx int64) {
+	n := s.g.N()
+	s.mark(0, true)
+	k := 0
+	for c := choose(n, 0); idx >= c; c = choose(n, k) {
+		idx -= c
+		k++
+	}
+	s.comb = s.comb[:k]
+	v := 0
+	for j := range s.comb {
+		// C(n−1−v, k−1−j) combinations put v in slot j.
+		for c := choose(n-1-v, k-1-j); idx >= c; c = choose(n-1-v, k-1-j) {
+			idx -= c
+			v++
+		}
+		s.comb[j] = v
+		v++
+	}
+	s.mark(0, false)
+}
+
+// next steps the cursor to the following fault set: the next lexicographic
+// combination of the same size, or {0, …, k} once size k is exhausted.
+func (s *ShardScanner) next() {
+	n, k := s.g.N(), len(s.comb)
+	i := k - 1
+	for i >= 0 && s.comb[i] == n-k+i {
+		i--
+	}
+	s.mark(max(i, 0), true)
+	if i < 0 {
+		i, s.comb = 0, s.comb[:k+1]
+		s.comb[0] = -1
+	}
+	s.comb[i]++
+	for j := i + 1; j < len(s.comb); j++ {
+		s.comb[j] = s.comb[j-1] + 1
+	}
+	s.mark(i, false)
+}
+
+// mark adds the cursor's members in slots i.. to the ground set (inGround)
+// or takes them out of it.
+func (s *ShardScanner) mark(i int, inGround bool) {
+	for _, v := range s.comb[i:] {
+		if inGround {
+			s.ground.Add(v)
+		} else {
+			s.ground.Remove(v)
+		}
+	}
 }

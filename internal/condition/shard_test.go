@@ -7,24 +7,26 @@ import (
 	"testing"
 
 	"iabc/internal/graph"
+	"iabc/internal/nodeset"
 	"iabc/internal/statestore"
 	"iabc/internal/topology"
 )
 
-// composeRanges runs scanner over [0, total) in chunks of the given size and
-// composes the spans the way the distributed coordinator does: full-span
-// counters for clean chunks, the satisfied prefix plus the violating set's
-// partial for the chunk that stops. It returns the composed Result.
-func composeRanges(t *testing.T, scanner *ShardScanner, chunk int64) Result {
+// composeRanges runs scanner over [0, total) split at the given ascending
+// range starts (the first must be 0) and composes the spans the way the
+// distributed coordinator does: full-span counters for clean ranges, the
+// satisfied prefix plus the violating set's partial for the range that
+// stops. It returns the composed Result.
+func composeRanges(t *testing.T, scanner *ShardScanner, starts []int64) Result {
 	t.Helper()
 	ctx := context.Background()
 	total := scanner.NumFaultSets()
 	res := Result{Satisfied: true}
 	var agg WorkCounters
-	for lo := int64(0); lo < total; lo += chunk {
-		hi := lo + chunk
-		if hi > total {
-			hi = total
+	for i, lo := range starts {
+		hi := total
+		if i+1 < len(starts) {
+			hi = starts[i+1]
 		}
 		rr, err := scanner.ScanRange(ctx, lo, hi)
 		if err != nil {
@@ -49,6 +51,42 @@ func composeRanges(t *testing.T, scanner *ShardScanner, chunk int64) Result {
 	res.CandidatesExamined = agg.Candidates
 	res.CandidatesPruned = agg.Pruned
 	res.MemoHits = agg.MemoHits
+	return res
+}
+
+// chunkStarts splits [0, total) into chunk-sized ranges.
+func chunkStarts(total, chunk int64) []int64 {
+	var starts []int64
+	for lo := int64(0); lo < total; lo += chunk {
+		starts = append(starts, lo)
+	}
+	return starts
+}
+
+// referenceScan is the scan executor's independent oracle: a plain
+// canonical-order loop over findDisjointInsulatedPair for the work
+// counters, with verdict and witness from the unpruned referenceWitness.
+// It shares no code with ShardScanner or CheckScan.
+func referenceScan(t *testing.T, g *graph.Graph, f, threshold int) Result {
+	t.Helper()
+	universe := nodeset.Universe(g.N())
+	scratch := newInsulationScratch(g)
+	var res Result
+	var cc checkCounters
+	violated := false
+	for fSize := 0; fSize <= f && fSize <= g.N() && !violated; fSize++ {
+		nodeset.SubsetsAscendingSize(universe, fSize, fSize, func(fSet nodeset.Set) bool {
+			res.FaultSetsExamined++
+			violated = findDisjointInsulatedPair(scratch, universe.Difference(fSet), threshold, &cc) != nil
+			return !violated
+		})
+	}
+	res.CandidatesExamined, res.CandidatesPruned, res.MemoHits = cc.candidates, cc.pruned, cc.memoHits
+	res.Witness = referenceWitness(g, f, threshold)
+	res.Satisfied = res.Witness == nil
+	if res.Satisfied == violated {
+		t.Fatalf("reference verdicts disagree: counter loop violated=%v, referenceWitness %v", violated, res.Witness)
+	}
 	return res
 }
 
@@ -97,7 +135,7 @@ func shardCase(t *testing.T, kind string, n, f int) *graph.Graph {
 
 // TestShardScanComposesToSequential pins the distribution seam's soundness:
 // for every chunking of the canonical enumeration, composing ScanRange spans
-// reproduces the sequential CheckScan verbatim — verdict, witness (lowest
+// reproduces the reference scan verbatim — verdict, witness (lowest
 // violating index, early-exit partial counters included), and work totals.
 func TestShardScanComposesToSequential(t *testing.T) {
 	for _, tc := range []struct {
@@ -110,10 +148,7 @@ func TestShardScanComposesToSequential(t *testing.T) {
 	} {
 		g := shardCase(t, tc.kind, tc.n, tc.f)
 		threshold := SyncThreshold(tc.f)
-		want, err := CheckScan(context.Background(), g, tc.f, threshold, ScanOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := referenceScan(t, g, tc.f, threshold)
 		scanner, err := NewShardScanner(g, tc.f, threshold)
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +157,7 @@ func TestShardScanComposesToSequential(t *testing.T) {
 			t.Fatalf("NumFaultSets = %d, want %d", got, wantTotal)
 		}
 		for _, chunk := range []int64{1, 7, 64, scanner.NumFaultSets() + 1} {
-			got := composeRanges(t, scanner, chunk)
+			got := composeRanges(t, scanner, chunkStarts(scanner.NumFaultSets(), chunk))
 			resultEqual(t, got, want)
 		}
 	}
@@ -229,5 +264,99 @@ func TestScanFrontierSpans(t *testing.T) {
 	}
 	if err := fr3.Flush(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardScannerIndexesCanonicalOrder pins rank addressing: for every
+// n ≤ 12 and f ≤ 4, and for n = 64 past the binomial table, the cursor on
+// fault set k — reached by stepping forward, and by unranking when
+// walking backwards — is the k-th set SubsetsAscendingSize visits, with
+// the ground set its complement.
+func TestShardScannerIndexesCanonicalOrder(t *testing.T) {
+	type tc struct{ n, f int }
+	var cases []tc
+	for n := 1; n <= 12; n++ {
+		for f := 0; f <= 4; f++ {
+			cases = append(cases, tc{n, f})
+		}
+	}
+	cases = append(cases, tc{64, 2})
+	for _, c := range cases {
+		g := graph.NewBuilder(c.n).MustBuild()
+		s, err := NewShardScanner(g, c.f, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		universe := nodeset.Universe(c.n)
+		var want []nodeset.Set
+		nodeset.SubsetsAscendingSize(universe, 0, c.f, func(fSet nodeset.Set) bool {
+			want = append(want, fSet.Clone())
+			return true
+		})
+		if s.NumFaultSets() != int64(len(want)) {
+			t.Fatalf("n=%d f=%d: NumFaultSets = %d, enumeration has %d", c.n, c.f, s.NumFaultSets(), len(want))
+		}
+		check := func(k int64, how string) {
+			s.moveTo(k)
+			if got := nodeset.FromMembers(c.n, s.comb...); !got.Equal(want[k]) || !s.ground.Equal(universe.Difference(want[k])) {
+				t.Fatalf("n=%d f=%d: %s to fault set %d gives F=%v ground=%v, want F=%v",
+					c.n, c.f, how, k, got, s.ground, want[k])
+			}
+		}
+		for k := range want {
+			check(int64(k), "stepping")
+		}
+		for k := len(want) - 2; k >= 0; k-- {
+			check(int64(k), "unranking")
+		}
+	}
+}
+
+// TestShardScanSizeClassBoundaries composes ScanRange spans that start
+// exactly on the first index of each fault-set size class, and one short of
+// it, against the reference scan.
+func TestShardScanSizeClassBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		kind string
+		n, f int
+	}{
+		{"core", 13, 4},  // satisfied
+		{"chord", 11, 3}, // violated
+	} {
+		g := shardCase(t, tc.kind, tc.n, tc.f)
+		threshold := SyncThreshold(tc.f)
+		want := referenceScan(t, g, tc.f, threshold)
+		scanner, err := NewShardScanner(g, tc.f, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Size classes start at 0, 1, 1+n, …; the off-by-one split
+		// skips 0, which is already a range start.
+		onClass, offByOne := []int64{0}, []int64{0}
+		for k, start := 0, int64(0); k < tc.f; k++ {
+			start += binom(tc.n, k)
+			onClass = append(onClass, start)
+			if start > 1 {
+				offByOne = append(offByOne, start-1)
+			}
+		}
+		for _, starts := range [][]int64{onClass, offByOne} {
+			resultEqual(t, composeRanges(t, scanner, starts), want)
+		}
+	}
+}
+
+// TestNewShardScannerAllocsIndependentOfExtent pins that a scanner costs
+// O(n): core:19 at f = 7 has 94,184 fault sets, none of which may be
+// materialized up front.
+func TestNewShardScannerAllocsIndependentOfExtent(t *testing.T) {
+	g := shardCase(t, "core", 19, 6)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := NewShardScanner(g, 7, SyncThreshold(7)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(g.N()) {
+		t.Fatalf("NewShardScanner made %.0f allocations, want at most n = %d", allocs, g.N())
 	}
 }

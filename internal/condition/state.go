@@ -20,11 +20,12 @@ package condition
 //     counter totals identical to an uninterrupted run.
 //
 // Checkpoints record only a *contiguous* completed prefix of the canonical
-// fault-set enumeration order. The parallel scan completes fault sets out
-// of order, so the checkpointer keeps a reorder buffer of per-index counter
-// deltas and advances the durable frontier as gaps fill — what lands on
-// disk is always "the first Done fault sets are satisfied, and here is
-// exactly their aggregate work", never a sparse set.
+// fault-set enumeration order. CheckScan's goroutines each journal their
+// own range one fault set at a time, and distributed workers report whole
+// lease slices, so spans arrive out of order: the checkpointer keeps a
+// reorder buffer of spans above the durable frontier and advances it as
+// gaps fill — what lands on disk is always "the first Done fault sets are
+// satisfied, and here is exactly their aggregate work", never a sparse set.
 
 import (
 	"context"
@@ -132,19 +133,18 @@ type verdictRecord struct {
 
 // pendingSpan is a completed half-open range [lo, hi) of satisfied fault
 // sets (keyed by lo in scanState.pending) with its aggregate counter delta,
-// awaiting the contiguous frontier. The local scans complete one index at a
-// time (hi = lo+1); the distributed coordinator journals whole lease chunks.
+// awaiting the contiguous frontier. CheckScan journals single fault sets
+// (hi = lo+1), which only wait here when a lower range is still in flight;
+// the distributed coordinator journals whole lease chunks.
 type pendingSpan struct {
 	hi int64
 	cc checkCounters
 }
 
 // scanState carries one CheckScan run's persistence: the loaded resume
-// point and the live checkpointer. A nil *scanState disables persistence
-// (every method is nil-safe where the scan loop calls it); a scanState with
-// a nil store tracks the frontier in memory only — the distributed
-// coordinator uses that form to aggregate counters when no backend is
-// configured.
+// point and the live checkpointer. A scanState with a nil store tracks the
+// frontier in memory only — the form every scan without a backend uses to
+// aggregate its counters.
 type scanState struct {
 	store      statestore.Backend
 	cpKey      string
@@ -168,20 +168,23 @@ type scanState struct {
 // order of preference: a cached verdict (cached != nil — the scan need not
 // run at all), or a scanState seeded from the newest checkpoint (possibly
 // empty), or an error if the store misbehaves. Records failing version or
-// graph verification are treated as absent.
+// graph verification are treated as absent. A nil store yields an empty,
+// memory-only scanState.
 func loadScanState(ctx context.Context, store statestore.Backend, g *graph.Graph, f, threshold int, every int) (st *scanState, cached *Result, err error) {
+	if every <= 0 {
+		every = DefaultCheckpointEvery
+	}
+	st = &scanState{
+		store: store, f: f, threshold: threshold, every: int64(every),
+		pending:   make(map[int64]pendingSpan),
+		lastWrite: time.Now(),
+	}
+	if store == nil {
+		return st, nil, nil
+	}
 	enc := g.Encode()
 	cpKey, vKey := scanKeys(enc, f, threshold)
-	if store == nil {
-		if every <= 0 {
-			every = DefaultCheckpointEvery
-		}
-		return &scanState{
-			enc: enc, f: f, threshold: threshold, every: int64(every),
-			pending:   make(map[int64]pendingSpan),
-			lastWrite: time.Now(),
-		}, nil, nil
-	}
+	st.enc, st.cpKey, st.vKey = enc, cpKey, vKey
 	if raw, err := store.Read(ctx, vKey); err == nil {
 		var rec verdictRecord
 		if json.Unmarshal(raw, &rec) == nil && rec.Version == stateVersion &&
@@ -199,15 +202,6 @@ func loadScanState(ctx context.Context, store statestore.Backend, g *graph.Graph
 	} else if err != statestore.ErrNotFound {
 		return nil, nil, fmt.Errorf("condition: reading verdict cache: %w", err)
 	}
-	if every <= 0 {
-		every = DefaultCheckpointEvery
-	}
-	st = &scanState{
-		store: store, cpKey: cpKey, vKey: vKey, enc: enc,
-		f: f, threshold: threshold, every: int64(every),
-		pending:   make(map[int64]pendingSpan),
-		lastWrite: time.Now(),
-	}
 	raw, err := store.Read(ctx, cpKey)
 	if err == statestore.ErrNotFound {
 		return st, nil, nil
@@ -220,7 +214,7 @@ func loadScanState(ctx context.Context, store statestore.Backend, g *graph.Graph
 		rec.Graph != enc || rec.F != f || rec.Threshold != threshold || rec.Done < 0 {
 		return st, nil, nil // foreign or stale record: start fresh
 	}
-	if total := totalFaultSets(g.N(), f); total > 0 && rec.Done > total {
+	if total, err := scanExtent(g, f, threshold); err != nil || rec.Done > total {
 		return st, nil, nil // corrupt prefix length: start fresh
 	}
 	st.frontier = rec.Done
@@ -231,19 +225,9 @@ func loadScanState(ctx context.Context, store statestore.Backend, g *graph.Graph
 }
 
 // resumePoint returns the fault-set index the scan should start at and the
-// counter aggregate already accounted for. Nil-safe.
+// counter aggregate already accounted for.
 func (st *scanState) resumePoint() (int64, checkCounters) {
-	if st == nil {
-		return 0, checkCounters{}
-	}
 	return st.resumedSet, st.resumed
-}
-
-// complete records fault set i as satisfied with the given counter delta,
-// advances the durable frontier over any filled gap, and checkpoints when
-// the write cadence (count- or time-based) is due.
-func (st *scanState) complete(ctx context.Context, i int64, delta checkCounters) error {
-	return st.completeSpan(ctx, i, i+1, delta)
 }
 
 // completeSpan records the fault sets [lo, hi) as satisfied with their
@@ -252,26 +236,22 @@ func (st *scanState) complete(ctx context.Context, i int64, delta checkCounters)
 // frontier only advances when the span at its position arrives, so a gap —
 // an unreported lease, a violating index — is never jumped.
 func (st *scanState) completeSpan(ctx context.Context, lo, hi int64, delta checkCounters) error {
-	if st == nil {
-		return nil
-	}
 	if hi <= lo {
 		return nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.pending[lo] = pendingSpan{hi: hi, cc: delta}
-	for {
-		s, ok := st.pending[st.frontier]
-		if !ok {
-			break
+	if lo != st.frontier {
+		st.pending[lo] = pendingSpan{hi: hi, cc: delta}
+	} else {
+		st.advanceLocked(pendingSpan{hi: hi, cc: delta})
+		for s, ok := st.pending[st.frontier]; ok; s, ok = st.pending[st.frontier] {
+			delete(st.pending, st.frontier)
+			st.advanceLocked(s)
 		}
-		delete(st.pending, st.frontier)
-		st.agg.candidates += s.cc.candidates
-		st.agg.pruned += s.cc.pruned
-		st.agg.memoHits += s.cc.memoHits
-		st.sinceWrite += s.hi - st.frontier
-		st.frontier = s.hi
+	}
+	if st.store == nil {
+		return nil // nothing to write, so no cadence to keep
 	}
 	if st.sinceWrite >= st.every || (st.sinceWrite > 0 && time.Since(st.lastWrite) >= checkpointFlushInterval) {
 		return st.writeLocked(ctx)
@@ -279,12 +259,26 @@ func (st *scanState) completeSpan(ctx context.Context, lo, hi int64, delta check
 	return nil
 }
 
+// advanceLocked extends the frontier over s, a span starting at it.
+func (st *scanState) advanceLocked(s pendingSpan) {
+	st.agg.candidates += s.cc.candidates
+	st.agg.pruned += s.cc.pruned
+	st.agg.memoHits += s.cc.memoHits
+	st.sinceWrite += s.hi - st.frontier
+	st.frontier = s.hi
+}
+
+// position returns the contiguous frontier and the counter aggregate over
+// [0, frontier) — resumed prefix included.
+func (st *scanState) position() (int64, WorkCounters) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.frontier, exportCounters(st.agg)
+}
+
 // flush forces a checkpoint write of the current frontier — the last act of
 // an interrupted scan, so a resume loses at most the out-of-order tail.
 func (st *scanState) flush(ctx context.Context) error {
-	if st == nil {
-		return nil
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.writeLocked(ctx)
@@ -318,7 +312,7 @@ func (st *scanState) writeLocked(ctx context.Context) error {
 // finish settles the scan: the verdict is cached for every later call with
 // the same (graph, f, threshold), and the in-flight checkpoint is removed.
 func (st *scanState) finish(ctx context.Context, res Result) error {
-	if st == nil || st.store == nil {
+	if st.store == nil {
 		return nil
 	}
 	rec := verdictRecord{
