@@ -247,8 +247,12 @@ func BenchmarkTrimmedMeanUpdate(b *testing.B) {
 
 // BenchmarkConditionCheck measures the exact Theorem 1 decision across the
 // families the paper studies. core_n19_f6 is the degree-bound pruning
-// showcase: ~342M candidate sets accounted, >99.9% skipped unvisited —
+// showcase: ~172M candidate sets accounted, >99.9% skipped unvisited —
 // a size the unpruned enumeration could not finish in reasonable time.
+// chord_n16_f2_relabelled is chord(16,2) under a fixed non-affine
+// relabelling: the same verdict and per-fault-set work, but no rotation or
+// reflection automorphism for the symmetry reduction to use, so it keeps
+// the insulation kernel's full cost in view.
 func BenchmarkConditionCheck(b *testing.B) {
 	cases := []struct {
 		name string
@@ -261,6 +265,7 @@ func BenchmarkConditionCheck(b *testing.B) {
 		{"core_n19_f6", mustCore(b, 19, 6), 6},
 		{"chord_n7_f2", mustChord(b, 7, 2), 2},
 		{"chord_n16_f2", mustChord(b, 16, 2), 2},
+		{"chord_n16_f2_relabelled", swapped01(mustChord(b, 16, 2)), 2},
 		{"hypercube_d4_f1", mustCube(b, 4), 1},
 	}
 	for _, tc := range cases {
@@ -292,6 +297,20 @@ func mustChord(tb testing.TB, n, f int) *graph.Graph {
 		tb.Fatal(err)
 	}
 	return g
+}
+
+// swapped01 returns g with nodes 0 and 1 exchanged — for n ≥ 4 a
+// relabelling no affine map i ↦ a·i+b (mod n) equals.
+func swapped01(g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.N())
+	rename := func(v int) int {
+		if v <= 1 {
+			return 1 - v
+		}
+		return v
+	}
+	g.ForEachEdge(func(from, to int) { b.AddEdge(rename(from), rename(to)) })
+	return b.MustBuild()
 }
 
 func mustCube(tb testing.TB, d int) *graph.Graph {

@@ -13,6 +13,9 @@ import (
 	"testing"
 
 	"iabc"
+	"iabc/internal/condition"
+	"iabc/internal/nodeset"
+	"iabc/internal/topology"
 )
 
 func distribScenarios() []iabc.Scenario {
@@ -133,6 +136,81 @@ func TestCheckViolatedResultIndependentOfWorkers(t *testing.T) {
 			if !reflect.DeepEqual(records, wantRecords) {
 				t.Errorf("%s %s: persisted records differ from the workers=1 run", tc.name, alt.name)
 			}
+		}
+	}
+}
+
+// literalScan is an unreduced oracle for a check's Satisfied, Witness and
+// FaultSetsExamined, built from the Definition 1 primitives alone: every
+// fault set in canonical order, candidate L sets by ascending size, L
+// insulated when C∪R ⇏ L, and R the maximal subset of the rest that the
+// remaining nodes cannot reach, peeled one in(·) step at a time. It shares
+// no code with the scan executor and applies no symmetry reduction.
+func literalScan(g *iabc.Graph, f, threshold int) (w *condition.Witness, faultSets int64) {
+	universe := nodeset.Universe(g.N())
+	for size := 0; size <= f && w == nil; size++ {
+		nodeset.SubsetsAscendingSize(universe, size, size, func(fSet nodeset.Set) bool {
+			faultSets++
+			ground := universe.Difference(fSet)
+			nodeset.SubsetsAscendingSize(ground, 1, ground.Count()/2, func(l nodeset.Set) bool {
+				if condition.Reaches(g, ground.Difference(l), l, threshold) {
+					return true
+				}
+				r := ground.Difference(l)
+				for {
+					bad := condition.In(g, ground.Difference(r), r, threshold)
+					if bad.Empty() {
+						break
+					}
+					r = r.Difference(bad)
+				}
+				if !r.Empty() {
+					w = &condition.Witness{F: fSet.Clone(), L: l.Clone(), C: ground.Difference(l).Difference(r), R: r}
+				}
+				return w == nil
+			})
+			return w == nil
+		})
+	}
+	return w, faultSets
+}
+
+// TestWorkerPoolSymmetryReductionExact runs graphs with rotation and
+// reflection automorphisms through a two-worker pool, whose workers skip
+// the fault sets an automorphism maps to a lower rank, and requires the
+// unreduced oracle's verdict, witness and fault-set count.
+func TestWorkerPoolSymmetryReductionExact(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() (*iabc.Graph, error)
+		f    int
+	}{
+		{"chord7", func() (*iabc.Graph, error) { return iabc.Chord(7, 2) }, 2},
+		{"chord10", func() (*iabc.Graph, error) { return iabc.Chord(10, 2) }, 2},
+		{"chord11", func() (*iabc.Graph, error) { return iabc.Chord(11, 3) }, 3},
+		{"ring8", func() (*iabc.Graph, error) { return topology.UndirectedRing(8) }, 1},
+		{"cycle6", func() (*iabc.Graph, error) { return topology.DirectedCycle(6) }, 1},
+		{"complete7", func() (*iabc.Graph, error) { return iabc.Complete(7) }, 2},
+		{"core10", func() (*iabc.Graph, error) { return iabc.CoreNetwork(10, 3) }, 3},
+		{"hypercube3", func() (*iabc.Graph, error) { return iabc.Hypercube(3) }, 1},
+		{"circulant11", func() (*iabc.Graph, error) { return iabc.Circulant(11, []int{1, 2, 3, 8, 9, 10}) }, 2},
+	} {
+		g, err := tc.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantFaultSets := literalScan(g, tc.f, iabc.SyncThreshold(tc.f))
+		got, err := iabc.Check(context.Background(), g, tc.f, iabc.WithWorkerPool(2))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Satisfied != (want == nil) || got.FaultSetsExamined != wantFaultSets {
+			t.Fatalf("%s: satisfied %v after %d fault sets, oracle %v after %d",
+				tc.name, got.Satisfied, got.FaultSetsExamined, want == nil, wantFaultSets)
+		}
+		if want != nil && (!got.Witness.F.Equal(want.F) || !got.Witness.L.Equal(want.L) ||
+			!got.Witness.C.Equal(want.C) || !got.Witness.R.Equal(want.R)) {
+			t.Fatalf("%s: witness %v, oracle %v", tc.name, got.Witness, want)
 		}
 	}
 }

@@ -115,9 +115,15 @@
 //     full enumeration's relative order, and condition.Check returns a
 //     bit-identical Satisfied verdict and Witness with or without pruning
 //     (and with or without the empty-complement memo, which only skips
-//     peels whose emptiness is implied by a memoized subset). Enforced by
-//     the property tests in internal/condition/prune_test.go and the
-//     E14 cross-validation against condition.CheckViaReducedGraphs.
+//     peels whose emptiness is implied by a memoized subset). The same
+//     holds for the symmetry reduction: a fault set that a rotation or
+//     reflection automorphism of the graph maps to a lower-ranked one is
+//     skipped as satisfied, and the lowest violating fault set is never
+//     skipped (its image would be a lower violation), so Satisfied,
+//     Witness and FaultSetsExamined are unchanged while the work counters
+//     count canonical fault sets only. Enforced by the property tests in
+//     internal/condition/prune_test.go and symmetry_test.go and the E14
+//     cross-validation against condition.CheckViaReducedGraphs.
 //  6. Facade stability. The root package's exported surface is frozen in
 //     api/iabc.txt, regenerated only by a deliberate `go generate .`;
 //     TestAPISurfaceGolden fails the build when the tree drifts from the

@@ -461,7 +461,9 @@ func cmdBench(args []string, stdout io.Writer) error {
 	})
 	if !*short {
 		// Degree-regular circulants at small threshold admit most candidates,
-		// so this row tracks the checker's un-prunable worst case.
+		// so the degree bound prunes little here; the symmetry reduction
+		// scans one fault set per rotation orbit, so this row tracks the
+		// insulation kernel on canonical fault sets only.
 		hg, err := iabc.Chord(16, 2)
 		if err != nil {
 			return err

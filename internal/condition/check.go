@@ -62,14 +62,17 @@ type Result struct {
 	// Witness is a violating partition when Satisfied is false, nil
 	// otherwise.
 	Witness *Witness
-	// FaultSetsExamined counts the fault sets F enumerated.
+	// FaultSetsExamined counts the fault sets F enumerated, including those
+	// the symmetry reduction settles without a search (see symmetry.go).
 	FaultSetsExamined int64
 	// CandidatesExamined counts candidate L sets accounted for by the
-	// enumeration: those explicitly tested for insulation plus those the
-	// degree lower bound pruned without a visit. On a satisfied graph the
-	// total equals the unpruned checker's count exactly (Σ_F Σ_k C(m,k)),
-	// so work numbers stay comparable across checker versions; the split
-	// is CandidatesPruned.
+	// enumeration of canonical fault sets — those no rotation or reflection
+	// automorphism maps to a lower rank; the others contribute nothing.
+	// The count covers candidates explicitly tested for insulation plus
+	// those the degree lower bound pruned without a visit, so for each
+	// satisfied canonical fault set it equals the unpruned checker's count
+	// exactly (Σ_k C(m,k)) and work numbers stay comparable across checker
+	// versions; the split is CandidatesPruned.
 	CandidatesExamined int64
 	// CandidatesPruned counts candidate L sets skipped wholesale by the
 	// degree lower bound (see the pruning invariant in the package doc of

@@ -22,7 +22,7 @@ func TestCheckParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := referenceScan(t, g, f, SyncThreshold(f))
+		seq := referenceScan(t, g, f, SyncThreshold(f), true)
 		par, err := CheckParallel(context.Background(), g, f, 4)
 		if err != nil {
 			t.Fatal(err)

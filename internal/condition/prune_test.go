@@ -152,8 +152,11 @@ func TestPrunedCheckAgainstReducedGraphs(t *testing.T) {
 // graphs, where no early exit perturbs the account:
 //
 //   - CandidatesExamined equals the unpruned checker's candidate count
-//     exactly — Σ over fault sets of Σ_{k=1..m/2} C(m,k) — so work numbers
-//     stay comparable across checker versions;
+//     over the canonical fault sets exactly — Σ over canonical F of
+//     Σ_{k=1..m/2} C(m,k) — so work numbers stay comparable across checker
+//     versions. core(10,3) has the reflection i ↦ 6−i (mod 10), so the
+//     symmetry reduction skips its other fault sets (referenceCanonical
+//     decides which, independently of the scanner);
 //   - the counters are monotone in f (each scan extends the previous one);
 //   - CandidatesPruned and MemoHits never exceed CandidatesExamined;
 //   - CheckParallel reports the identical account.
@@ -173,20 +176,22 @@ func TestPrunedCountersAccounting(t *testing.T) {
 			t.Fatalf("core(10,3) must satisfy f=%d", f)
 		}
 		var wantCand, wantFault int64
-		for fSize := 0; fSize <= f; fSize++ {
-			m := n - fSize
-			wantFault += binom(n, fSize)
-			var perGround int64
-			for k := 1; k <= m/2; k++ {
-				perGround += binom(m, k)
+		canonical := referenceCanonical(g, f)
+		nodeset.SubsetsAscendingSize(nodeset.Universe(n), 0, f, func(fSet nodeset.Set) bool {
+			wantFault++
+			if canonical(fSet) {
+				m := n - fSet.Count()
+				for k := 1; k <= m/2; k++ {
+					wantCand += binom(m, k)
+				}
 			}
-			wantCand += binom(n, fSize) * perGround
-		}
+			return true
+		})
 		if res.FaultSetsExamined != wantFault {
 			t.Fatalf("f=%d: FaultSetsExamined = %d, want %d", f, res.FaultSetsExamined, wantFault)
 		}
 		if res.CandidatesExamined != wantCand {
-			t.Fatalf("f=%d: CandidatesExamined = %d, want the unpruned count %d", f, res.CandidatesExamined, wantCand)
+			t.Fatalf("f=%d: CandidatesExamined = %d, want the unpruned count over canonical fault sets %d", f, res.CandidatesExamined, wantCand)
 		}
 		if res.CandidatesPruned > res.CandidatesExamined || res.CandidatesPruned < 0 {
 			t.Fatalf("f=%d: CandidatesPruned %d exceeds CandidatesExamined %d",

@@ -149,7 +149,8 @@ type RangeResult struct {
 // and steps to the next combination in place, so it costs O(n) memory
 // whatever the scan's extent. The insulation scratch is reused across fault
 // sets, which is sound because all cross-fault-set state resets per ground
-// (see state.go).
+// (see state.go). Fault sets that a rotation or reflection automorphism of
+// g maps to a lower rank are skipped as satisfied (see symmetry.go).
 //
 // A ShardScanner is not safe for concurrent use; give each goroutine its
 // own.
@@ -163,6 +164,10 @@ type ShardScanner struct {
 	pos    int64
 	comb   []int
 	ground nodeset.Set
+	// auts are g's detected automorphisms; img is canonical's buffer for
+	// the cursor's image under one of them.
+	auts []automorphism
+	img  []int
 }
 
 // scanExtent validates a scan identity against the exact checker's limits
@@ -234,11 +239,14 @@ func NewShardScanner(g *graph.Graph, f, threshold int) (*ShardScanner, error) {
 
 // newShardScanner builds a scanner for an identity scanExtent accepted.
 func newShardScanner(g *graph.Graph, f, threshold int, total int64) *ShardScanner {
+	k := min(f, g.N())
 	return &ShardScanner{
 		g: g, threshold: threshold, total: total,
 		scratch: newInsulationScratch(g),
-		comb:    make([]int, 0, min(f, g.N())),
+		comb:    make([]int, 0, k),
 		ground:  nodeset.Universe(g.N()),
+		auts:    symmetries(g),
+		img:     make([]int, k),
 	}
 }
 
@@ -269,14 +277,16 @@ func (s *ShardScanner) scanRange(ctx context.Context, lo, hi int64, satisfied fu
 		}
 		s.moveTo(i)
 		var cc checkCounters
-		w := findDisjointInsulatedPair(s.scratch, s.ground, s.threshold, &cc)
-		if w != nil {
-			w.F = nodeset.FromMembers(s.g.N(), s.comb...)
-			w.C = s.ground.Difference(w.L).Difference(w.R)
-			res.Violation = i
-			res.Witness = w
-			res.Partial = exportCounters(cc)
-			return res, nil
+		// A non-canonical fault set is satisfied by symmetry, with no work.
+		if s.canonical() {
+			if w := findDisjointInsulatedPair(s.scratch, s.ground, s.threshold, &cc); w != nil {
+				w.F = nodeset.FromMembers(s.g.N(), s.comb...)
+				w.C = s.ground.Difference(w.L).Difference(w.R)
+				res.Violation = i
+				res.Witness = w
+				res.Partial = exportCounters(cc)
+				return res, nil
+			}
 		}
 		res.Completed++
 		res.Satisfied.Add(exportCounters(cc))

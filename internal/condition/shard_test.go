@@ -66,17 +66,23 @@ func chunkStarts(total, chunk int64) []int64 {
 // referenceScan is the scan executor's independent oracle: a plain
 // canonical-order loop over findDisjointInsulatedPair for the work
 // counters, with verdict and witness from the unpruned referenceWitness.
-// It shares no code with ShardScanner or CheckScan.
-func referenceScan(t *testing.T, g *graph.Graph, f, threshold int) Result {
+// With reduced, the loop skips the fault sets referenceCanonical rejects,
+// as the executor's symmetry reduction does; without, it is the unreduced
+// scan. It shares no code with ShardScanner or CheckScan.
+func referenceScan(t *testing.T, g *graph.Graph, f, threshold int, reduced bool) Result {
 	t.Helper()
 	universe := nodeset.Universe(g.N())
 	scratch := newInsulationScratch(g)
+	canonical := referenceCanonical(g, f)
 	var res Result
 	var cc checkCounters
 	violated := false
 	for fSize := 0; fSize <= f && fSize <= g.N() && !violated; fSize++ {
 		nodeset.SubsetsAscendingSize(universe, fSize, fSize, func(fSet nodeset.Set) bool {
 			res.FaultSetsExamined++
+			if reduced && !canonical(fSet) {
+				return true
+			}
 			violated = findDisjointInsulatedPair(scratch, universe.Difference(fSet), threshold, &cc) != nil
 			return !violated
 		})
@@ -88,6 +94,60 @@ func referenceScan(t *testing.T, g *graph.Graph, f, threshold int) Result {
 		t.Fatalf("reference verdicts disagree: counter loop violated=%v, referenceWitness %v", violated, res.Witness)
 	}
 	return res
+}
+
+// referenceSymmetries lists, as explicit permutations, every rotation
+// i ↦ i+s and reflection i ↦ s−i (mod n) of g's labels — the identity
+// included — under which g's edge set is unchanged, found by brute force
+// over a map of the edges.
+func referenceSymmetries(g *graph.Graph) [][]int {
+	n := g.N()
+	edges := map[[2]int]bool{}
+	g.ForEachEdge(func(from, to int) { edges[[2]int{from, to}] = true })
+	var out [][]int
+	for s := 0; s < n; s++ {
+		rot, refl := make([]int, n), make([]int, n)
+		for i := range rot {
+			rot[i], refl[i] = (i+s)%n, ((s-i)%n+n)%n
+		}
+		for _, p := range [][]int{rot, refl} {
+			same := true
+			for e := range edges {
+				same = same && edges[[2]int{p[e[0]], p[e[1]]}]
+			}
+			if same {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}
+
+// referenceCanonical returns the oracle's canonical-fault-set predicate: F
+// is canonical unless some referenceSymmetries permutation maps it to a
+// fault set of lower rank, the ranks read off the canonical enumeration
+// itself.
+func referenceCanonical(g *graph.Graph, f int) func(nodeset.Set) bool {
+	n := g.N()
+	rank := map[string]int{}
+	nodeset.SubsetsAscendingSize(nodeset.Universe(n), 0, f, func(fSet nodeset.Set) bool {
+		rank[fSet.String()] = len(rank)
+		return true
+	})
+	perms := referenceSymmetries(g)
+	return func(fSet nodeset.Set) bool {
+		for _, p := range perms {
+			img := nodeset.New(n)
+			fSet.ForEach(func(v int) bool {
+				img.Add(p[v])
+				return true
+			})
+			if rank[img.String()] < rank[fSet.String()] {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 // resultEqual compares the fields a distributed scan must reproduce.
@@ -148,7 +208,7 @@ func TestShardScanComposesToSequential(t *testing.T) {
 	} {
 		g := shardCase(t, tc.kind, tc.n, tc.f)
 		threshold := SyncThreshold(tc.f)
-		want := referenceScan(t, g, tc.f, threshold)
+		want := referenceScan(t, g, tc.f, threshold, true)
 		scanner, err := NewShardScanner(g, tc.f, threshold)
 		if err != nil {
 			t.Fatal(err)
@@ -325,7 +385,7 @@ func TestShardScanSizeClassBoundaries(t *testing.T) {
 	} {
 		g := shardCase(t, tc.kind, tc.n, tc.f)
 		threshold := SyncThreshold(tc.f)
-		want := referenceScan(t, g, tc.f, threshold)
+		want := referenceScan(t, g, tc.f, threshold, true)
 		scanner, err := NewShardScanner(g, tc.f, threshold)
 		if err != nil {
 			t.Fatal(err)
@@ -348,15 +408,23 @@ func TestShardScanSizeClassBoundaries(t *testing.T) {
 
 // TestNewShardScannerAllocsIndependentOfExtent pins that a scanner costs
 // O(n): core:19 at f = 7 has 94,184 fault sets, none of which may be
-// materialized up front.
+// materialized up front, and chord:19 at f = 2 has 18 automorphisms, which
+// must not cost an allocation each.
 func TestNewShardScannerAllocsIndependentOfExtent(t *testing.T) {
-	g := shardCase(t, "core", 19, 6)
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := NewShardScanner(g, 7, SyncThreshold(7)); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		g     *graph.Graph
+		scanF int
+	}{
+		{shardCase(t, "core", 19, 6), 7},
+		{shardCase(t, "chord", 19, 2), 2},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := NewShardScanner(tc.g, tc.scanF, SyncThreshold(tc.scanF)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(tc.g.N()) {
+			t.Fatalf("%v: NewShardScanner made %.0f allocations, want at most n = %d", tc.g, allocs, tc.g.N())
 		}
-	})
-	if allocs > float64(g.N()) {
-		t.Fatalf("NewShardScanner made %.0f allocations, want at most n = %d", allocs, g.N())
 	}
 }

@@ -42,8 +42,11 @@ import (
 )
 
 // stateVersion versions the persisted record schemas; bump on any change so
-// stale records miss instead of misparse.
-const stateVersion = 1
+// stale records miss instead of misparse. Version 2 marks the counters of
+// the symmetry-reduced scan (see symmetry.go): a version-1 record carries
+// unreduced counters, and replaying them would make resumed or cached
+// totals differ from a fresh run's.
+const stateVersion = 2
 
 // DefaultCheckpointEvery is the fault-set interval between checkpoint
 // writes when ScanOptions.CheckpointEvery is unset. A time-based flush

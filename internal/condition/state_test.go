@@ -2,7 +2,9 @@ package condition
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -193,7 +195,9 @@ func TestCheckScanResumeUnsatisfied(t *testing.T) {
 }
 
 // TestCheckScanIgnoresCorruptState: garbage at the checkpoint and verdict
-// keys must degrade to a fresh scan, never a wrong verdict.
+// keys must degrade to a fresh scan, never a wrong verdict. That includes a
+// well-formed record of schema version 1, whose counters predate the
+// symmetry reduction: it is stale, not resumable.
 func TestCheckScanIgnoresCorruptState(t *testing.T) {
 	g, err := topology.CoreNetwork(10, 3)
 	if err != nil {
@@ -201,7 +205,12 @@ func TestCheckScanIgnoresCorruptState(t *testing.T) {
 	}
 	store := statestore.NewMem()
 	cpKey, vKey := scanKeys(g.Encode(), 3, SyncThreshold(3))
-	for _, garbage := range [][]byte{[]byte("not json"), []byte(`{"version":99}`), []byte(`{"version":1,"graph":"g1:3","done":7}`)} {
+	encJSON, err := json.Marshal(g.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := fmt.Sprintf(`{"version":1,"graph":%s,"f":3,"threshold":4,"satisfied":false,"fault_sets":5,"done":100,"candidates":9}`, encJSON)
+	for _, garbage := range [][]byte{[]byte("not json"), []byte(`{"version":99}`), []byte(`{"version":1,"graph":"g1:3","done":7}`), []byte(v1)} {
 		if err := store.Write(context.Background(), cpKey, garbage); err != nil {
 			t.Fatal(err)
 		}
@@ -218,6 +227,14 @@ func TestCheckScanIgnoresCorruptState(t *testing.T) {
 		if err := store.Delete(context.Background(), vKey); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A version-1 in-flight MaxF record is stale too: no check replays.
+	v1MaxF := fmt.Sprintf(`{"version":1,"graph":%s,"checks":[{"f":0,"satisfied":true,"fault_sets":1,"candidates":9}]}`, encJSON)
+	if err := store.Write(context.Background(), maxfKey(g.Encode()), []byte(v1MaxF)); err != nil {
+		t.Fatal(err)
+	}
+	if _, stats, err := MaxFScan(context.Background(), g, MaxFOptions{Store: store}); err != nil || stats.ChecksResumed != 0 {
+		t.Fatalf("version-1 maxf record replayed: stats %+v, err %v", stats, err)
 	}
 }
 

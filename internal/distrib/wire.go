@@ -47,7 +47,10 @@ const (
 	// corrupt prefix can make the reader allocate.
 	maxFramePayload = 16 << 20
 	// wireVersion is the protocol version exchanged in hello frames.
-	wireVersion = 1
+	// Version 2 marks workers whose slice counters come from the
+	// symmetry-reduced scan, so a version-1 worker cannot report
+	// unreduced counters into a reduced coordinator's totals.
+	wireVersion = 2
 	// helloMagic guards against a stray client dialing the job port.
 	helloMagic = 0x69616264 // "iabd"
 )

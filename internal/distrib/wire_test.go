@@ -3,6 +3,7 @@ package distrib
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"iabc/internal/condition"
@@ -118,6 +119,20 @@ func TestJobWireRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := readFrame(br, scratch); err == nil {
 		t.Fatal("expected EOF after the last frame")
+	}
+}
+
+// TestHelloRejectsVersion1 pins that a version-1 peer, whose scan counters
+// predate the symmetry reduction, is refused at the hello exchange rather
+// than allowed to report into a scan.
+func TestHelloRejectsVersion1(t *testing.T) {
+	v1 := binary.BigEndian.AppendUint32(nil, helloMagic)
+	v1 = append(v1, 1)
+	if err := decodeHello(v1); err == nil {
+		t.Fatal("version-1 hello accepted")
+	}
+	if err := decodeHello(appendHello(nil)[frameHeaderLen+1:]); err != nil {
+		t.Fatalf("current hello rejected: %v", err)
 	}
 }
 
