@@ -14,7 +14,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
+	"iabc"
 	"iabc/internal/adversary"
 	"iabc/internal/async"
 	"iabc/internal/condition"
@@ -788,4 +790,45 @@ func BenchmarkDistribDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+}
+
+// BenchmarkClusterLossy runs the live §7 cluster in-process under 5% chaos
+// drop: complete:16, f = 2, nodes 0 and 1 Byzantine ("extremes"), 300
+// rounds. Beside the time per run it reports the send side's work per run:
+// stall-triggered resends, deliveries to fault-free actors, and messages
+// dropped at full outbound queues.
+func BenchmarkClusterLossy(b *testing.B) {
+	const n, rounds = 16, 300
+	g, err := iabc.Complete(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	initial := make([]float64, n)
+	rng := rand.New(rand.NewSource(1))
+	for i := range initial {
+		initial[i] = 100 * rng.Float64()
+	}
+	var resends, deliveries, dropped int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := iabc.Cluster(context.Background(), g,
+			iabc.WithF(2), iabc.WithFaulty(0, 1), iabc.WithInitial(initial),
+			iabc.WithNamedAdversary("extremes"), iabc.WithSeed(int64(i)),
+			iabc.WithMaxRounds(rounds), iabc.WithStallAfter(10*time.Second),
+			iabc.WithChaos(iabc.ChaosConfig{Seed: int64(i), Drop: 0.05}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for v := 2; v < n; v++ {
+			if res.Rounds[v] != rounds {
+				b.Fatalf("run %d: node %d stopped at round %d of %d", i, v, res.Rounds[v], rounds)
+			}
+		}
+		resends += res.Resends
+		deliveries += res.Deliveries
+		dropped += res.OutDropped
+	}
+	b.ReportMetric(float64(resends)/float64(b.N), "resends/op")
+	b.ReportMetric(float64(deliveries)/float64(b.N), "deliveries/op")
+	b.ReportMetric(float64(dropped)/float64(b.N), "out_dropped/op")
 }

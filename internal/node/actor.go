@@ -17,6 +17,8 @@ import (
 // edgeQueueCap bounds each out-edge's send queue. Enqueues onto a full queue
 // are dropped (counted in Result.OutDropped) — a later resend pass repairs
 // the loss, so a slow or dead link cannot grow memory or block the actor.
+// Resends to in-neighbours are sized to the queue's free room and never
+// drop; only progress broadcasts and the history fallback can.
 const edgeQueueCap = 64
 
 // seqOf derives a transmission identity for a Msg.Seq from the round, the
@@ -80,39 +82,88 @@ func (s *sender) enqueue(e int, m transport.Msg) bool {
 	}
 }
 
+// pumpEdge drains edge e's queue into the transport until ctx (the
+// incarnation) ends. The pump owns one sendBudget for the whole
+// incarnation, so a successful send costs one transport Send and touches
+// neither the allocator nor the run context's child registry.
 func (s *sender) pumpEdge(ctx context.Context, e int) {
 	to := s.outs[e]
+	b := sendBudget{parent: ctx}
+	defer b.release()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case m := <-s.qs[e]:
-			s.sendOne(ctx, to, m)
+			s.sendOne(ctx, &b, to, m)
 		}
 	}
 }
 
-// sendOne drives one message through the transport: retry on failure with
-// exponential backoff (doubling from RetryBackoff, capped at
-// maxBackoffFactor times it) until the per-message SendTimeout budget is
-// spent, then abandon. ErrLinkDown is the designed-for case — the link may
-// heal mid-budget, which is how sends survive short partitions.
-func (s *sender) sendOne(ctx context.Context, to int, m transport.Msg) {
+// sendBudget is a pump's reusable per-message SendTimeout budget: one
+// cancelable child of the incarnation context plus one timer that cancels
+// it. arm re-arms the timer for each message; the context is replaced only
+// after the timer has fired, since an expired budget stays canceled. A
+// fresh context.WithDeadline per message would instead allocate a context
+// and a timer and register and unregister a child on the parent, whose
+// mutex every pump of the run would contend on.
+type sendBudget struct {
+	parent context.Context
+	ctx    context.Context
+	cancel context.CancelFunc
+	timer  *time.Timer // nil until the first arm and after each expiry
+}
+
+// arm starts a budget of d and returns the context that carries it.
+func (b *sendBudget) arm(d time.Duration) context.Context {
+	if b.timer == nil {
+		b.ctx, b.cancel = context.WithCancel(b.parent)
+		b.timer = time.AfterFunc(d, b.cancel)
+	} else {
+		b.timer.Reset(d)
+	}
+	return b.ctx
+}
+
+// disarm ends the current message's budget. A timer that already fired has
+// canceled (or is canceling) the context, so the next arm builds a new one.
+func (b *sendBudget) disarm() {
+	if !b.timer.Stop() {
+		b.cancel()
+		b.timer = nil
+	}
+}
+
+// release frees the budget when its pump exits.
+func (b *sendBudget) release() {
+	if b.timer != nil {
+		b.timer.Stop()
+		b.cancel()
+	}
+}
+
+// sendOne drives one message through the transport under the pump's
+// budget, armed once for the message: retry on failure with exponential
+// backoff (doubling from RetryBackoff, capped at maxBackoffFactor times
+// it) until SendTimeout is spent, then abandon. ErrLinkDown is the
+// designed-for case — the link may heal mid-budget, which is how sends
+// survive short partitions.
+func (s *sender) sendOne(ctx context.Context, b *sendBudget, to int, m transport.Msg) {
 	cfg := &s.r.cfg
+	sctx := b.arm(cfg.SendTimeout)
+	defer b.disarm()
 	deadline := time.Now().Add(cfg.SendTimeout)
 	backoff := cfg.RetryBackoff
 	maxBackoff := cfg.RetryBackoff * maxBackoffFactor
 	for {
-		sctx, cancel := context.WithDeadline(ctx, deadline)
 		err := cfg.Transport.Send(sctx, s.id, to, m)
-		cancel()
 		if err == nil {
 			return
 		}
 		if ctx.Err() != nil || errors.Is(err, transport.ErrClosed) {
 			return
 		}
-		if !time.Now().Add(backoff).Before(deadline) {
+		if sctx.Err() != nil || !time.Now().Add(backoff).Before(deadline) {
 			s.r.abandoned.Add(1)
 			return
 		}
@@ -148,6 +199,15 @@ type actor struct {
 	history []float64
 	epoch   int
 	started bool
+	// heard[e] is the highest round received from out-neighbour outs[e]:
+	// a round-r message proves its sender finished every round below r,
+	// and a fault-free node's round never moves back, so heard[e] is a
+	// lower bound on that peer's round (0 before anything arrives). It is
+	// -1 for an out-neighbour that is not an in-neighbour, whose round
+	// this actor can never learn.
+	heard []int
+	// outEdge[pos] is the out-edge index of in-neighbour ins[pos], or -1.
+	outEdge []int
 
 	// Volatile state (reset across restarts).
 	inbox      *quorum.Ring
@@ -166,19 +226,44 @@ func newActor(id int, r *runner) *actor {
 		q = cfg.QuorumOverride(id)
 	}
 	buffered, _ := cfg.Rule.(core.BufferedRule)
+	snd := newSender(id, r)
+	ins := cfg.G.InView(id)
+	heard := make([]int, len(snd.outs))
+	outEdge := make([]int, len(ins))
+	for pos := range outEdge {
+		outEdge[pos] = -1
+	}
+	for e, to := range snd.outs {
+		pos := sort.SearchInts(ins, to)
+		if pos < len(ins) && ins[pos] == to {
+			outEdge[pos] = e
+		} else {
+			heard[e] = -1
+		}
+	}
 	return &actor{
-		sender:   newSender(id, r),
+		sender:   snd,
 		id:       id,
 		r:        r,
-		ins:      cfg.G.InView(id),
+		ins:      ins,
 		quorum:   q,
 		recv:     cfg.Transport.Recv(id),
 		value:    cfg.Initial[id],
 		history:  append(make([]float64, 0, cfg.MaxRounds+1), cfg.Initial[id]),
+		heard:    heard,
+		outEdge:  outEdge,
 		inbox:    quorum.NewRing(deg),
 		recvBuf:  make([]core.ValueFrom, 0, deg),
 		buffered: buffered,
 	}
+}
+
+// restart drops the volatile state a crash loses: the inbox is rebased,
+// empty, at the durable round, and peer resends re-fill it. Peer knowledge
+// (heard) is durable — every bound in it stays true across the crash.
+func (a *actor) restart() {
+	a.inbox.Reset(a.round)
+	a.progressed = false
 }
 
 // run executes one incarnation of the actor until ctx is done. After
@@ -256,14 +341,20 @@ func (a *actor) nextEpoch() int {
 // broadcast enqueues round k's value on every out-edge.
 func (a *actor) broadcast(k, epoch int) {
 	for e := range a.outs {
-		m := transport.Msg{Round: k, Value: a.history[k], Seq: seqOf(k, epoch, e)}
-		if a.enqueue(e, m) && epoch > 0 {
-			a.r.resends.Add(1)
-		}
+		a.send(e, k, epoch)
 	}
 }
 
-// deepResendEvery makes every k-th resend pass cover the full history;
+// send enqueues round k's value on out-edge e; epoch > 0 marks a resend.
+func (a *actor) send(e, k, epoch int) {
+	m := transport.Msg{Round: k, Value: a.history[k], Seq: seqOf(k, epoch, e)}
+	if a.enqueue(e, m) && epoch > 0 {
+		a.r.resends.Add(1)
+	}
+}
+
+// deepResendEvery makes every k-th resend pass cover the full history on
+// the fallback edges (and tell peers known to be ahead the current round);
 // the passes between cover only the recent window, which keeps a long
 // stall from flooding the network with thousands of old rounds per tick
 // while still repairing arbitrarily deep laggards within k ticks.
@@ -272,20 +363,66 @@ const (
 	shallowResendDepth = 4
 )
 
-// resendHistory rebroadcasts completed rounds, newest first (the current
-// round unblocks same-round peers; older rounds repair laggards). It fires
-// only when a resend interval passed with no round progress. Safe by
+// resendHistory retransmits completed rounds to the peers that may still
+// need them. It fires only when a resend interval passed with no round
+// progress. An out-neighbour that is also an in-neighbour gets the rounds
+// from its last-heard round heard[e] upward, oldest first (see resendTo): a
+// peer known to be at round p needs nothing below p. A peer known to be
+// ahead of this actor needs nothing it holds and gets nothing, except that
+// every deepResendEvery-th pass sends it the current round: its knowledge
+// of this actor may be stale (our messages lost while its own got through),
+// and a peer that aims its resends at a stale round could otherwise leave
+// this actor stalled for good. An out-neighbour that never sends to us (a
+// directed graph) cannot be known, so it gets the history fallback: the
+// current round and the shallowResendDepth rounds below it, newest first,
+// with every deepResendEvery-th pass covering all of history. Safe by
 // idempotence: round k's message is a pure function of the round-k state,
-// and receivers dedup per (sender, round), so resends repair losses without
-// ever altering a fault-free trajectory.
+// and receivers dedup per (sender, round), so resends repair losses
+// without ever altering a fault-free trajectory.
 func (a *actor) resendHistory() {
 	ep := a.nextEpoch()
+	deep := ep%deepResendEvery == 0
 	lo := 0
-	if ep%deepResendEvery != 0 && a.round > shallowResendDepth {
+	if !deep && a.round > shallowResendDepth {
 		lo = a.round - shallowResendDepth
 	}
-	for k := a.round; k >= lo; k-- {
-		a.broadcast(k, ep)
+	for e := range a.outs {
+		switch p := a.heard[e]; {
+		case p > a.round:
+			if deep {
+				a.send(e, a.round, ep)
+			}
+		case p >= 0:
+			a.resendTo(e, p, ep)
+		default:
+			for k := a.round; k >= lo; k-- {
+				a.send(e, k, ep)
+			}
+		}
+	}
+}
+
+// resendTo sends out-edge e, whose peer is known to be at round p or later
+// (p ≤ a.round), the rounds p…a.round oldest first — the order a laggard
+// consumes them — within the free room of the edge's queue, so a resend
+// never overflows it.
+// When the window does not fit, its last slot goes to the current round,
+// which serves a peer that has moved on since it was last heard. A full
+// queue gets nothing: its pump is still busy with earlier sends.
+func (a *actor) resendTo(e, p, epoch int) {
+	room := cap(a.qs[e]) - len(a.qs[e])
+	if room <= 0 {
+		return
+	}
+	hi := a.round
+	if hi-p+1 > room {
+		hi = p + room - 2
+	}
+	for k := p; k <= hi; k++ {
+		a.send(e, k, epoch)
+	}
+	if hi < a.round {
+		a.send(e, a.round, epoch)
 	}
 }
 
@@ -294,17 +431,26 @@ func (a *actor) resendHistory() {
 // its ring. Reports false only when the run must end (rule error or ctx
 // done while reporting).
 func (a *actor) onDelivery(ctx context.Context, d transport.Delivery) bool {
-	if d.Round < a.round {
-		return true // stale: a resend the actor no longer needs
-	}
 	pos := sort.SearchInts(a.ins, d.From)
 	if pos >= len(a.ins) || a.ins[pos] != d.From {
 		return true // not an in-neighbor; ignore forged or misrouted traffic
 	}
+	// Even a stale message raises what we know of its sender's round.
+	if e := a.outEdge[pos]; e >= 0 && d.Round > a.heard[e] {
+		a.heard[e] = d.Round
+	}
+	if d.Round < a.round {
+		return true // stale: a resend the actor no longer needs
+	}
+	cfg := &a.r.cfg
+	if d.Round > cfg.MaxRounds {
+		// No fault-free node ever sends past MaxRounds; buffering such a
+		// claim would grow the inbox ring to the claimed round.
+		return true
+	}
 	if !a.inbox.Put(d.Round, pos, d.Value) {
 		return true // duplicate (resend or chaos dup): first arrival won
 	}
-	cfg := &a.r.cfg
 	for a.round < cfg.MaxRounds && a.inbox.Filled(a.round) >= a.quorum {
 		received := a.inbox.Gather(a.round, a.ins, a.recvBuf[:0])
 		var v float64

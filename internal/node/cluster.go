@@ -95,11 +95,9 @@ func (r *runner) supervise(ctx context.Context, a *actor, crashes []transport.Cr
 		if !sleepUntil(ctx, r.start.Add(cr.Until)) {
 			return
 		}
-		// Restart: durable (round, value, history) survives; the volatile
-		// inbox is lost, so rebase an empty ring at the current round and
-		// rely on peer resends to re-fill it.
-		a.inbox.Reset(a.round)
-		a.progressed = false
+		// Restart: durable (round, value, history, peer knowledge)
+		// survives; the volatile inbox is lost.
+		a.restart()
 		r.restarts.Add(1)
 	}
 	r.incarnation(ctx, a, time.Time{})

@@ -17,15 +17,27 @@
 // real, faulty networks:
 //
 //   - Idempotent retransmission. A stalled actor (no round progress for
-//     ResendEvery) rebroadcasts its history. Because the message for round
-//     k is a pure function of the actor's round-k state, resends never
-//     change a receiver's trajectory — they only repair losses. This turns
+//     ResendEvery) resends history rounds to the peers that may lack them.
+//     A round-r message from a peer proves the peer has finished every
+//     round below r, and a fault-free node's round never moves back, so the
+//     highest round heard from a peer is a lower bound on its round: each
+//     peer gets the rounds from that bound upward, oldest first, within its
+//     edge queue's free room and always with the current round. A peer
+//     known to be ahead needs nothing the actor holds; every few passes it
+//     still gets the current round, in case its own knowledge of the actor
+//     went stale. An out-neighbour that never sends to the actor (a
+//     directed graph) gets a recent window of rounds, widened to all of
+//     history every few passes. Because the message for round k is a pure
+//     function of the actor's round-k state, resends never change a
+//     receiver's trajectory — they only repair losses. This turns
 //     chaos-layer drops and healed partitions into mere delays, which is
 //     precisely the regime the Part II convergence theorem covers.
 //   - Send retry with capped backoff and a per-message timeout. A cut link
 //     (transport.ErrLinkDown) or a backpressured queue never deadlocks an
 //     actor: the send pump retries with exponential backoff until the
 //     per-message budget expires, then abandons — the resend pass recovers.
+//     Each pump reuses one budget context and timer for all its messages,
+//     so a send the transport accepts costs no allocation.
 //   - Crash/restart. A supervisor stops an actor for each configured crash
 //     window and restarts it from its durable (round, value, history)
 //     state with a reset inbox; on restart the actor rebroadcasts its
@@ -96,8 +108,8 @@ type Config struct {
 	// Epsilon.
 	Epsilon float64
 	// ResendEvery is the initial stall-triggered retransmission interval:
-	// an actor that made no round progress for this long rebroadcasts its
-	// history, then backs off exponentially (doubling per silent interval,
+	// an actor that made no round progress for this long resends the
+	// history rounds its peers may lack, then backs off exponentially (doubling per silent interval,
 	// capped at maxResendBackoffFactor times this value) until progress
 	// resumes (0 selects DefaultResendEvery).
 	ResendEvery time.Duration
@@ -248,12 +260,19 @@ type Result struct {
 	Deliveries int64
 	// Updates counts fault-free state changes.
 	Updates int64
-	// Resends counts messages retransmitted by stall-triggered history
-	// rebroadcasts.
+	// Resends counts messages retransmitted by stall-triggered resend
+	// passes and restart re-announcements. A pass sends a peer only the
+	// rounds from the highest round heard from it upward, and a peer known
+	// to be ahead at most the current round, on every eighth pass; only an
+	// out-neighbour that never sends back gets the blind recent-window or
+	// full-history fallback.
 	Resends int64
 	// Abandoned counts sends dropped after the retry budget expired.
 	Abandoned int64
-	// OutDropped counts messages dropped at full outbound pump queues.
+	// OutDropped counts messages dropped at full outbound pump queues:
+	// progress broadcasts and restart re-announcements that found an edge's
+	// queue full, and fallback history rounds beyond its capacity. Targeted
+	// resends are sized to the queue's free room and never count here.
 	OutDropped int64
 	// Restarts counts crash-supervisor actor restarts.
 	Restarts int64
