@@ -26,9 +26,12 @@ func Work(ctx context.Context, addr string) error {
 func (c *config) distributed() bool { return c.coordAddr != "" || c.workerPool > 0 }
 
 // startCoordinator binds the call's coordinator and starts the local worker
-// pool. The returned stop func tears both down; it is safe to call after
-// the work completed or failed.
-func (c *config) startCoordinator() (*distrib.Coordinator, func(), error) {
+// pool. It returns once every pool worker has joined — or one of them has
+// exited, or ctx is done — so the scan starts with the whole pool and the
+// coordinator's report counts every pool worker, however fast the scan. The
+// returned stop func tears both down; it is safe to call after the work
+// completed or failed.
+func (c *config) startCoordinator(ctx context.Context) (*distrib.Coordinator, func(), error) {
 	addr := c.coordAddr
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -38,14 +41,18 @@ func (c *config) startCoordinator() (*distrib.Coordinator, func(), error) {
 		return nil, nil, err
 	}
 	wctx, cancel := context.WithCancel(context.Background())
+	joinCtx, joinDone := context.WithCancel(ctx)
+	defer joinDone()
 	var wg sync.WaitGroup
 	for i := 0; i < c.workerPool; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer joinDone()
 			distrib.Work(wctx, coord.Addr(), distrib.WorkerOptions{})
 		}()
 	}
+	coord.WaitWorkers(joinCtx, int64(c.workerPool))
 	stop := func() {
 		coord.Close()
 		cancel()

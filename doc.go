@@ -102,7 +102,12 @@
 //     the round loop allocates nothing in steady state (enforced by
 //     TestEngineRoundLoopZeroSteadyStateAllocs and the *-steady
 //     benchmarks). Only the Messages-map fallback and trace growth beyond
-//     the preallocated window allocate.
+//     the preallocated window allocate. The exact checker's scan kernel
+//     holds the same guarantee per fault set: cursor steps, ground counts,
+//     the candidate search and its peels run on single-word masks in
+//     fixed arrays, so a satisfied fault set allocates nothing and only a
+//     violation builds its Witness (enforced by
+//     TestShardScanAllocatesNothing).
 //  4. Determinism. Given identical configs (and seeds for randomized
 //     strategies), every engine produces identical traces across runs.
 //  5. Pruning soundness. The exact checker's degree lower bound can never
@@ -115,15 +120,22 @@
 //     full enumeration's relative order, and condition.Check returns a
 //     bit-identical Satisfied verdict and Witness with or without pruning
 //     (and with or without the empty-complement memo, which only skips
-//     peels whose emptiness is implied by a memoized subset). The same
+//     peels whose emptiness is implied by a memoized subset). The kernel's
+//     two search bounds skip only non-insulated candidates and count them
+//     as visited: a prefix whose members need more in-neighbors from the
+//     candidate than the remaining slots or nodes can supply drops its
+//     whole subtree, and the last slot is tried only at the nodes the
+//     prefix admits, so every counter is the one-by-one enumeration's. The
+//     same
 //     holds for the symmetry reduction: a fault set that a rotation or
 //     reflection automorphism of the graph maps to a lower-ranked one is
 //     skipped as satisfied, and the lowest violating fault set is never
 //     skipped (its image would be a lower violation), so Satisfied,
 //     Witness and FaultSetsExamined are unchanged while the work counters
 //     count canonical fault sets only. Enforced by the property tests in
-//     internal/condition/prune_test.go and symmetry_test.go and the E14
-//     cross-validation against condition.CheckViaReducedGraphs.
+//     internal/condition/prune_test.go, insulation_test.go and
+//     symmetry_test.go and the E14 cross-validation against
+//     condition.CheckViaReducedGraphs.
 //  6. Facade stability. The root package's exported surface is frozen in
 //     api/iabc.txt, regenerated only by a deliberate `go generate .`;
 //     TestAPISurfaceGolden fails the build when the tree drifts from the

@@ -189,7 +189,7 @@ func Sweep(ctx context.Context, g *Graph, scenarios []Scenario, opts ...Option) 
 		}
 	}
 	if c.distributed() {
-		coord, stop, err := c.startCoordinator()
+		coord, stop, err := c.startCoordinator(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +246,7 @@ func Check(ctx context.Context, g *Graph, f int, opts ...Option) (CheckResult, e
 		Store:      store,
 	}
 	if c.distributed() {
-		coord, stop, err := c.startCoordinator()
+		coord, stop, err := c.startCoordinator(ctx)
 		if err != nil {
 			return CheckResult{}, err
 		}
@@ -299,7 +299,7 @@ func MaxFWithStats(ctx context.Context, g *Graph, opts ...Option) (int, MaxFStat
 		}
 	}
 	if c.distributed() {
-		coord, stop, err := c.startCoordinator()
+		coord, stop, err := c.startCoordinator(ctx)
 		if err != nil {
 			return -1, MaxFStats{}, err
 		}

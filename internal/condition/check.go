@@ -3,6 +3,8 @@ package condition
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"iabc/internal/graph"
 	"iabc/internal/nodeset"
@@ -68,8 +70,10 @@ type Result struct {
 	// CandidatesExamined counts candidate L sets accounted for by the
 	// enumeration of canonical fault sets — those no rotation or reflection
 	// automorphism maps to a lower rank; the others contribute nothing.
-	// The count covers candidates explicitly tested for insulation plus
-	// those the degree lower bound pruned without a visit, so for each
+	// The count covers candidates tested for insulation — one by one, or
+	// in bulk where the kernel's search bounds prove a whole run of them
+	// non-insulated (see insulationKernel.search) — plus those the degree
+	// lower bound pruned without a visit, so for each
 	// satisfied canonical fault set it equals the unpruned checker's count
 	// exactly (Σ_k C(m,k)) and work numbers stay comparable across checker
 	// versions; the split is CandidatesPruned.
@@ -84,7 +88,7 @@ type Result struct {
 	// MemoHits counts maximal-insulated-subset computations skipped because
 	// a previously peeled subset of the candidate already proved the
 	// complement's maximal insulated subset empty (see
-	// insulationScratch.dead). Always ≤ CandidatesExamined.
+	// insulationKernel.dead). Always ≤ CandidatesExamined.
 	MemoHits int64
 	// FaultSetsResumed counts fault sets skipped because a persisted
 	// checkpoint (ScanOptions.Store) already covered them. Their counter
@@ -104,6 +108,13 @@ type checkCounters struct {
 	memoHits   int64
 }
 
+// count adds n searched candidates to c, saturating at math.MaxInt64: a
+// ground of 64 nodes holds more candidates than an int64 counts, and the
+// bulk counts of insulationKernel.search can get through one.
+func (c *checkCounters) count(n int64) {
+	c.candidates += min(n, math.MaxInt64-c.candidates)
+}
+
 // binomTable holds C(n, k) for n ≤ 62 — the checker's feasibility cap on
 // ground sizes — built by Pascal's rule so no intermediate overflows int64
 // (the largest entry, C(62,31) ≈ 4.2e17, fits comfortably).
@@ -120,7 +131,7 @@ var binomTable = func() [63][63]int64 {
 
 // binom returns C(n, k), or 0 when the pair is out of the table's range.
 // Callers that difference two binom values must keep both arguments inside
-// the table (the pruning account guards total ≤ 62), or the zero for an
+// the table (the pruning account guards its ground size m ≤ 62), or the zero for an
 // oversized n would turn the difference negative.
 func binom(n, k int) int64 {
 	if k < 0 || k > n || n > 62 {
@@ -173,10 +184,10 @@ func CheckThreshold(g *graph.Graph, f, threshold int) (Result, error) {
 // isInsulated reports whether every node of x has at most threshold-1
 // in-neighbors in ground−x.
 //
-// Retained as the reference oracle for insulationScratch.insulated, which
-// the checker's hot path uses instead (incremental counters maintained by
-// the subset enumeration, no per-candidate set algebra); the equivalence
-// test in insulation_test.go cross-checks the two.
+// Retained as the reference oracle for insulationKernel.insulated, which
+// the checker's hot path uses instead (cached ground counts on single-word
+// masks, no per-candidate set algebra); the equivalence test in
+// insulation_test.go cross-checks the two.
 func isInsulated(g *graph.Graph, ground, x nodeset.Set, threshold int) bool {
 	outside := ground.Difference(x)
 	ok := true
@@ -196,7 +207,7 @@ func isInsulated(g *graph.Graph, ground, x nodeset.Set, threshold int) bool {
 // many in-neighbors outside the shrinking S; by union-closure of insulated
 // sets, every insulated subset of sub survives, so the fixpoint is maximal.
 //
-// Retained as the reference oracle for insulationScratch.maximalInsulated
+// Retained as the reference oracle for insulationKernel.maximalInsulated
 // (worklist peeling over cached counts), which the checker uses instead.
 func maximalInsulatedSubset(g *graph.Graph, ground, sub nodeset.Set, threshold int) nodeset.Set {
 	s := sub.Clone()
@@ -223,69 +234,46 @@ func maximalInsulatedSubset(g *graph.Graph, ground, sub nodeset.Set, threshold i
 // subsets of ground. It enumerates candidate L in ascending size (violations
 // with small L — e.g. single under-connected nodes — are found immediately)
 // and pairs each insulated L with the maximal insulated subset of the
-// complement. Returns a witness with L and R filled in, or nil.
+// complement. It returns the pair's L and R as masks, or l = 0 when there is
+// none.
 //
-// The insulation tests run on s's cached in-degree-from-ground counts —
-// the optimization that turned the exact checker's inner loop
-// allocation-free. Two further cuts keep the search exact while skipping
-// most of it:
+// The insulation tests run on the kernel's cached in-degree-from-ground
+// counts, one AND and one popcount per member, and the kernel's search
+// (insulationKernel.search) skips runs of provably non-insulated
+// candidates in bulk. Two further cuts keep the search exact while
+// skipping most of it:
 //
 //   - Degree pruning. A node v in an insulated set X has at most |X|−1
 //     in-neighbors inside X (no self-loops), so base[v] − (|X|−1) ≤
 //     threshold−1 must hold — any v with base[v] ≥ threshold + |X| − 1 is
 //     inadmissible at size |X|, and every candidate containing it is
-//     skipped unvisited via nodeset.SubsetsAscendingSizePruned. Insulated
-//     sets survive the filter by construction, so the first violating
-//     candidate found — and hence the witness — is unchanged.
+//     skipped unvisited (insulationKernel.admit). The admitted members keep
+//     the ground's ascending order, so the surviving candidates are visited
+//     in the unpruned enumeration's relative order; insulated sets survive
+//     the filter by construction, so the first violating candidate found —
+//     and hence the witness — is unchanged.
 //   - Empty-complement memo. For each insulated L whose complement peeled
-//     to ∅, the scratch records L (s.recordDead); a later insulated L' ⊇ L
+//     to ∅, the kernel records L (s.recordDead); a later insulated L' ⊇ L
 //     has ground−L' ⊆ ground−L, and the maximal insulated subset is
 //     monotone in its sub argument, so its peel is provably ∅ and skipped
 //     (s.knownDead). Only peels are skipped, never candidate tests, so
 //     counter accounting and the returned witness are unaffected.
-func findDisjointInsulatedPair(s *insulationScratch, ground nodeset.Set, threshold int, c *checkCounters) *Witness {
-	m := ground.Count()
+func findDisjointInsulatedPair(s *insulationKernel, ground uint64, threshold int, c *checkCounters) (l, r uint64) {
+	m := bits.OnesCount64(ground)
 	if m < 2 {
-		return nil
+		return 0, 0
 	}
 	s.setGround(ground)
-	var found *Witness
 	// L needs at most floor(m/2) nodes: if a disjoint pair (L, R) exists,
 	// the smaller side has ≤ m/2 nodes, and the pair is symmetric in L/R.
-	nodeset.SubsetsAscendingSizePruned(ground, 1, m/2,
-		func(v, size int) bool { return s.base[v] < threshold+size-1 },
-		func(size, kept, total int) {
-			if total > 62 {
-				// Grounds beyond the binom table (possible while n−f ≤ 62
-				// when fSize < f) have no exact int64 account — C(64,32)
-				// alone overflows — and are never enumerable to completion
-				// anyway; leave them out of the account rather than report
-				// a negative or saturated number.
-				return
+	for k := 1; k <= m/2; k++ {
+		if s.admit(m, k, threshold, c) {
+			if l, r := s.search(0, k, 0, threshold, c); l != 0 {
+				return l, r
 			}
-			skipped := binom(total, size) - binom(kept, size)
-			c.candidates += skipped
-			c.pruned += skipped
-		},
-		func(l nodeset.Set) bool {
-			c.candidates++
-			if !s.insulated(l, threshold) {
-				return true
-			}
-			if s.knownDead(l) {
-				c.memoHits++
-				return true
-			}
-			rest := ground.Difference(l)
-			r := s.maximalInsulated(ground, rest, threshold)
-			if !r.Empty() {
-				found = &Witness{L: l.Clone(), R: r}
-				return false
-			}
-			s.recordDead(l)
-			return true
-		})
-	return found
+		}
+	}
+	return 0, 0
 }
 
 // MaxF returns the largest f ≥ 0 for which the graph satisfies Theorem 1

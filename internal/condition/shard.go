@@ -78,7 +78,7 @@ type ScanFrontier struct {
 // identity (g, f, threshold) and returns, in order of preference: a cached
 // verdict (cached != nil — the scan need not run), or a frontier seeded
 // from the newest checkpoint (possibly empty). The validation is
-// CheckScan's: f ≥ 0, threshold ≥ 1, n−f ≤ 62.
+// CheckScan's: f ≥ 0, threshold ≥ 1, n−f ≤ 62, n ≤ 64.
 func LoadScanFrontier(ctx context.Context, store statestore.Backend, g *graph.Graph, f, threshold, checkpointEvery int) (fr *ScanFrontier, cached *Result, err error) {
 	if _, err := scanExtent(g, f, threshold); err != nil {
 		return nil, nil, err
@@ -147,10 +147,11 @@ type RangeResult struct {
 // the scanner keeps one cursor, unranks a range start in O(n·f) — the size
 // class from the binomial prefix sums, then the lexicographic combination —
 // and steps to the next combination in place, so it costs O(n) memory
-// whatever the scan's extent. The insulation scratch is reused across fault
+// whatever the scan's extent. The insulation kernel is reused across fault
 // sets, which is sound because all cross-fault-set state resets per ground
-// (see state.go). Fault sets that a rotation or reflection automorphism of
-// g maps to a lower rank are skipped as satisfied (see symmetry.go).
+// (see state.go), and a satisfied fault set allocates nothing. Fault sets
+// that a rotation or reflection automorphism of g maps to a lower rank are
+// skipped as satisfied (see symmetry.go).
 //
 // A ShardScanner is not safe for concurrent use; give each goroutine its
 // own.
@@ -158,12 +159,12 @@ type ShardScanner struct {
 	g         *graph.Graph
 	threshold int
 	total     int64
-	scratch   *insulationScratch
+	kernel    *insulationKernel
 	// The cursor: fault set number pos, its members ascending, and V minus
-	// them.
+	// them as a kernel mask.
 	pos    int64
 	comb   []int
-	ground nodeset.Set
+	ground uint64
 	// auts are g's detected automorphisms; img is canonical's buffer for
 	// the cursor's image under one of them.
 	auts []automorphism
@@ -171,7 +172,9 @@ type ShardScanner struct {
 }
 
 // scanExtent validates a scan identity against the exact checker's limits
-// and returns its extent (see faultSetCount).
+// and returns its extent (see faultSetCount). Beyond n−f ≤ 62, which keeps
+// every ground's candidate count in an int64, the kernel needs n ≤ 64 so
+// that every node set fits one word.
 func scanExtent(g *graph.Graph, f, threshold int) (int64, error) {
 	n := g.N()
 	if f < 0 {
@@ -182,6 +185,9 @@ func scanExtent(g *graph.Graph, f, threshold int) (int64, error) {
 	}
 	if n-f > 62 {
 		return 0, fmt.Errorf("condition: exact check infeasible for n-f = %d > 62 nodes", n-f)
+	}
+	if n > maxKernelNodes {
+		return 0, fmt.Errorf("condition: exact check limited to n <= %d nodes (one machine word per node set), got n = %d", maxKernelNodes, n)
 	}
 	total := faultSetCount(n, f)
 	if total < 0 {
@@ -242,11 +248,11 @@ func newShardScanner(g *graph.Graph, f, threshold int, total int64) *ShardScanne
 	k := min(f, g.N())
 	return &ShardScanner{
 		g: g, threshold: threshold, total: total,
-		scratch: newInsulationScratch(g),
-		comb:    make([]int, 0, k),
-		ground:  nodeset.Universe(g.N()),
-		auts:    symmetries(g),
-		img:     make([]int, k),
+		kernel: newInsulationKernel(g),
+		comb:   make([]int, 0, k),
+		ground: universeMask(g.N()),
+		auts:   symmetries(g),
+		img:    make([]int, k),
 	}
 }
 
@@ -279,11 +285,15 @@ func (s *ShardScanner) scanRange(ctx context.Context, lo, hi int64, satisfied fu
 		var cc checkCounters
 		// A non-canonical fault set is satisfied by symmetry, with no work.
 		if s.canonical() {
-			if w := findDisjointInsulatedPair(s.scratch, s.ground, s.threshold, &cc); w != nil {
-				w.F = nodeset.FromMembers(s.g.N(), s.comb...)
-				w.C = s.ground.Difference(w.L).Difference(w.R)
+			if l, r := findDisjointInsulatedPair(s.kernel, s.ground, s.threshold, &cc); l != 0 {
+				n := s.g.N()
 				res.Violation = i
-				res.Witness = w
+				res.Witness = &Witness{
+					F: nodeset.FromMembers(n, s.comb...),
+					L: maskSet(n, l),
+					C: maskSet(n, s.ground&^l&^r),
+					R: maskSet(n, r),
+				}
 				res.Partial = exportCounters(cc)
 				return res, nil
 			}
@@ -361,9 +371,9 @@ func (s *ShardScanner) next() {
 func (s *ShardScanner) mark(i int, inGround bool) {
 	for _, v := range s.comb[i:] {
 		if inGround {
-			s.ground.Add(v)
+			s.ground |= 1 << uint(v)
 		} else {
-			s.ground.Remove(v)
+			s.ground &^= 1 << uint(v)
 		}
 	}
 }

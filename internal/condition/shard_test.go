@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"iabc/internal/graph"
@@ -64,34 +65,42 @@ func chunkStarts(total, chunk int64) []int64 {
 }
 
 // referenceScan is the scan executor's independent oracle: a plain
-// canonical-order loop over findDisjointInsulatedPair for the work
-// counters, with verdict and witness from the unpruned referenceWitness.
+// canonical-order loop over referenceSearch, the one-candidate-at-a-time
+// nodeset replica of the kernel, for verdict, witness and work counters.
 // With reduced, the loop skips the fault sets referenceCanonical rejects,
 // as the executor's symmetry reduction does; without, it is the unreduced
-// scan. It shares no code with ShardScanner or CheckScan.
+// scan. It shares no code with ShardScanner, CheckScan or the kernel. On
+// graphs small enough for it, the verdict and witness are also checked
+// against the unpruned referenceWitness.
 func referenceScan(t *testing.T, g *graph.Graph, f, threshold int, reduced bool) Result {
 	t.Helper()
 	universe := nodeset.Universe(g.N())
-	scratch := newInsulationScratch(g)
 	canonical := referenceCanonical(g, f)
 	var res Result
 	var cc checkCounters
-	violated := false
-	for fSize := 0; fSize <= f && fSize <= g.N() && !violated; fSize++ {
+	for fSize := 0; fSize <= f && fSize <= g.N() && res.Witness == nil; fSize++ {
 		nodeset.SubsetsAscendingSize(universe, fSize, fSize, func(fSet nodeset.Set) bool {
 			res.FaultSetsExamined++
 			if reduced && !canonical(fSet) {
 				return true
 			}
-			violated = findDisjointInsulatedPair(scratch, universe.Difference(fSet), threshold, &cc) != nil
-			return !violated
+			ground := universe.Difference(fSet)
+			l, r, fc := referenceSearch(g, ground, threshold, true)
+			cc.candidates += fc.candidates
+			cc.pruned += fc.pruned
+			cc.memoHits += fc.memoHits
+			if !l.Empty() {
+				res.Witness = &Witness{F: fSet.Clone(), L: l, C: ground.Difference(l).Difference(r), R: r}
+			}
+			return res.Witness == nil
 		})
 	}
 	res.CandidatesExamined, res.CandidatesPruned, res.MemoHits = cc.candidates, cc.pruned, cc.memoHits
-	res.Witness = referenceWitness(g, f, threshold)
 	res.Satisfied = res.Witness == nil
-	if res.Satisfied == violated {
-		t.Fatalf("reference verdicts disagree: counter loop violated=%v, referenceWitness %v", violated, res.Witness)
+	if g.N() <= 13 {
+		if want := referenceWitness(g, f, threshold); !reflect.DeepEqual(res.Witness, want) {
+			t.Fatalf("reference witnesses disagree: pruned search %v, unpruned %v", res.Witness, want)
+		}
 	}
 	return res
 }
@@ -331,7 +340,7 @@ func TestScanFrontierSpans(t *testing.T) {
 // n ≤ 12 and f ≤ 4, and for n = 64 past the binomial table, the cursor on
 // fault set k — reached by stepping forward, and by unranking when
 // walking backwards — is the k-th set SubsetsAscendingSize visits, with
-// the ground set its complement.
+// the ground mask its complement (bit 63 included at n = 64).
 func TestShardScannerIndexesCanonicalOrder(t *testing.T) {
 	type tc struct{ n, f int }
 	var cases []tc
@@ -358,9 +367,9 @@ func TestShardScannerIndexesCanonicalOrder(t *testing.T) {
 		}
 		check := func(k int64, how string) {
 			s.moveTo(k)
-			if got := nodeset.FromMembers(c.n, s.comb...); !got.Equal(want[k]) || !s.ground.Equal(universe.Difference(want[k])) {
+			if got := nodeset.FromMembers(c.n, s.comb...); !got.Equal(want[k]) || s.ground != maskOf(universe.Difference(want[k])) {
 				t.Fatalf("n=%d f=%d: %s to fault set %d gives F=%v ground=%v, want F=%v",
-					c.n, c.f, how, k, got, s.ground, want[k])
+					c.n, c.f, how, k, got, maskSet(c.n, s.ground), want[k])
 			}
 		}
 		for k := range want {
@@ -426,5 +435,99 @@ func TestNewShardScannerAllocsIndependentOfExtent(t *testing.T) {
 		if allocs > float64(tc.g.N()) {
 			t.Fatalf("%v: NewShardScanner made %.0f allocations, want at most n = %d", tc.g, allocs, tc.g.N())
 		}
+	}
+}
+
+// TestShardScanAllocatesNothing pins the scan kernel's zero-allocation
+// guarantee: over a satisfied ShardScanner range — cursor steps and
+// unranking, the symmetry test, ground counts, the candidate search and
+// its peels — no fault set allocates. core(13,4), with one reflection,
+// scans nearly every fault set in full.
+func TestShardScanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inexact under the race detector")
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		kind string
+		n, f int
+	}{
+		{"chord", 16, 2},
+		{"core", 13, 4},
+	} {
+		g := shardCase(t, tc.kind, tc.n, tc.f)
+		s, err := NewShardScanner(g, tc.f, SyncThreshold(tc.f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rr RangeResult
+		allocs := testing.AllocsPerRun(3, func() {
+			rr, err = s.ScanRange(ctx, 0, s.NumFaultSets())
+		})
+		if err != nil || rr.Violation >= 0 || rr.Satisfied.Candidates == 0 {
+			t.Fatalf("%s(%d,%d): range result %+v, err %v; want a satisfied scan", tc.kind, tc.n, tc.f, rr, err)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s(%d,%d): %.0f allocations over %d fault sets, want 0", tc.kind, tc.n, tc.f, allocs, s.NumFaultSets())
+		}
+	}
+}
+
+// TestShardScanWordEdge runs the scan where bit 63 of the kernel's masks is
+// a node. complete(64) at f = 2 under both thresholds has every candidate
+// pruned by the degree bound, and grounds of 63 and 64 members outside the
+// binomial table; in the second graph — a 62-clique beside nodes 62 and 63,
+// each fed by the other and two clique nodes — L = {62, 63} violates at
+// F = ∅. Each must equal referenceScan in verdict, witness and every
+// counter. A 65-node graph, which one word cannot hold, is rejected even
+// when n − f ≤ 62.
+func TestShardScanWordEdge(t *testing.T) {
+	complete64, err := topology.Complete(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(64)
+	for u := 0; u < 62; u++ {
+		for v := 0; v < 62; v++ {
+			if u != v {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	b.AddUndirected(62, 63)
+	b.AddEdge(0, 62).AddEdge(1, 62).AddEdge(2, 63).AddEdge(3, 63)
+	pair := b.MustBuild()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Graph
+		threshold int
+		satisfied bool
+	}{
+		{"complete64_sync", complete64, SyncThreshold(2), true},
+		{"complete64_async", complete64, AsyncThreshold(2), true},
+		{"pair62_63", pair, SyncThreshold(2), false},
+	} {
+		want := referenceScan(t, tc.g, 2, tc.threshold, true)
+		got, err := CheckScan(ctx, tc.g, 2, tc.threshold, ScanOptions{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resultEqual(t, got, want)
+		if got.Satisfied != tc.satisfied {
+			t.Fatalf("%s: satisfied = %v, want %v", tc.name, got.Satisfied, tc.satisfied)
+		}
+		if !tc.satisfied {
+			if w := got.Witness; !w.L.Equal(nodeset.FromMembers(64, 62, 63)) || !w.F.Empty() {
+				t.Fatalf("%s: witness %v, want F = ∅ and L = {62, 63}", tc.name, w)
+			}
+			if err := got.Witness.Verify(tc.g, 2, tc.threshold); err != nil {
+				t.Fatalf("%s: witness fails Verify: %v", tc.name, err)
+			}
+		}
+	}
+	big := graph.NewBuilder(65).AddEdge(0, 1).MustBuild()
+	if _, err := Check(big, 3); err == nil || !strings.Contains(err.Error(), "n <= 64") {
+		t.Fatalf("Check on 65 nodes with n-f = 62: err %v, want the one-word limit", err)
 	}
 }

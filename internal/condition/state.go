@@ -14,7 +14,7 @@ package condition
 //   - Each fault set's work-counter contribution (candidates, pruned, memo
 //     hits) is a pure function of (graph, ground, threshold): the degree
 //     pruning depends only on base in-degrees, and the empty-complement
-//     memo is cleared per ground (insulationScratch.setGround), so no state
+//     memo is cleared per ground (insulationKernel.setGround), so no state
 //     leaks across fault sets. A resumed scan that restores the persisted
 //     prefix aggregate and skips those fault sets therefore finishes with
 //     counter totals identical to an uninterrupted run.

@@ -185,6 +185,24 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
+// WaitWorkers blocks until n workers have completed the hello exchange,
+// ctx is done, or the coordinator is closed, and reports whether the n
+// workers joined.
+func (c *Coordinator) WaitWorkers(ctx context.Context, n int64) bool {
+	stop := context.AfterFunc(ctx, func() {
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})
+	defer stop()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.stats.WorkersSeen < n && ctx.Err() == nil && !c.closed {
+		c.cond.Wait()
+	}
+	return c.stats.WorkersSeen >= n
+}
+
 // Close stops accepting, disconnects workers, and fails any active phase.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
@@ -314,6 +332,7 @@ func (c *Coordinator) handleConn(cs *connState) {
 	}
 	c.mu.Lock()
 	c.stats.WorkersSeen++
+	c.cond.Broadcast()
 	c.mu.Unlock()
 
 	for {

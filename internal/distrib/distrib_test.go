@@ -599,3 +599,25 @@ func TestDispatchNoop(t *testing.T) {
 		t.Fatalf("granted %d jobs, want >= 300", s.JobsGranted)
 	}
 }
+
+// TestWaitWorkers pins the join barrier the facade's worker pool starts
+// behind: it returns true once the workers have said hello, and false —
+// promptly — when its context ends or the coordinator closes first.
+func TestWaitWorkers(t *testing.T) {
+	c := testCluster(t, Options{}, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if !c.WaitWorkers(ctx, 2) {
+		t.Fatalf("two workers did not join: %+v", c.Stats())
+	}
+	short, cancelShort := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancelShort()
+	if c.WaitWorkers(short, 3) {
+		t.Fatal("a third worker joined that was never started")
+	}
+	lonely := testCluster(t, Options{}, 0)
+	go lonely.Close()
+	if lonely.WaitWorkers(context.Background(), 1) {
+		t.Fatal("closed coordinator reported a join")
+	}
+}

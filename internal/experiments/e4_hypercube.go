@@ -29,7 +29,7 @@ type E4Result struct {
 // E4Row is one hypercube measurement.
 type E4Row struct {
 	D, N int
-	// ExactChecked is whether the exponential checker ran (n − f ≤ 62).
+	// ExactChecked is whether the exponential checker ran (n ≤ 16).
 	ExactChecked bool
 	// SatisfiedF1 is the exact verdict at f = 1 (want: false).
 	SatisfiedF1 bool

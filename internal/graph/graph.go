@@ -178,8 +178,8 @@ func (g *Graph) InSet(i int) nodeset.Set { return g.inSet[i].Clone() }
 func (g *Graph) OutSet(i int) nodeset.Set { return g.outSet[i].Clone() }
 
 // CountInFrom returns |N-_v ∩ s| — how many in-neighbors of v lie in s —
-// without allocating. This is the hot operation of the condition checker
-// (Definition 1 evaluates it for every node in a candidate set).
+// without allocating: Definition 1's test, as the condition package's
+// reach predicates and its reference oracles evaluate it.
 func (g *Graph) CountInFrom(v int, s nodeset.Set) int {
 	return g.inSet[v].IntersectionCount(s)
 }

@@ -1,9 +1,11 @@
 // Package nodeset provides compact bitsets over node identifiers.
 //
-// A Set holds node IDs in the range [0, capacity). Sets are the backbone of
-// the condition checker in internal/condition: the exponential enumeration
-// over partitions of V manipulates millions of sets, so every operation is
-// word-parallel and allocation is kept to explicit Clone/New calls.
+// A Set holds node IDs in the range [0, capacity). Sets carry node sets
+// across package boundaries — witnesses, reachability, reduced graphs — and
+// serve the condition checker's test oracles; the exact checker's hot path
+// works on single-word masks instead (internal/condition/insulation.go).
+// Every operation is word-parallel and allocation is kept to explicit
+// Clone/New calls.
 //
 // The zero value of Set is an empty set with capacity 0. Most callers should
 // use New to size the set to the graph order.
@@ -319,68 +321,10 @@ func Subsets(ground Set, fn func(Set) bool) {
 }
 
 // SubsetsAscendingSize enumerates subsets of ground in non-decreasing order
-// of size, from size lo to size hi inclusive. The Set passed to fn is reused;
-// Clone to retain. Enumeration stops early if fn returns false.
+// of size, from size lo to size hi inclusive; subsets of one size come in
+// lexicographic order of their ascending members. The Set passed to fn is
+// reused; Clone to retain. Enumeration stops early if fn returns false.
 func SubsetsAscendingSize(ground Set, lo, hi int, fn func(Set) bool) {
-	SubsetsAscendingSizeHooked(ground, lo, hi, nil, nil, fn)
-}
-
-// SubsetsAscendingSizePruned is SubsetsAscendingSize with a per-size
-// admission filter: before enumerating size-k subsets, admit(id, k) is asked
-// once for every ground member, and rejected members are excluded from every
-// size-k candidate. Excluding one member prunes its entire combination
-// subtree — the C(m−1, k−1) candidates containing it — without visiting any
-// of them, which is what makes degree-bound pruning in the condition checker
-// pay: the admission scan is O(m) per size while the subtrees it removes are
-// exponential.
-//
-// sized, if non-nil, is called once per size k (before that size's
-// enumeration, including sizes whose pool is smaller than k) with the number
-// of admitted members and the ground size, so callers can account for the
-// candidates never visited: C(total, k) − C(kept, k). A nil admit admits
-// every member, reducing to SubsetsAscendingSize with a sized callback.
-//
-// The admitted pool keeps the ground's ascending member order, so the
-// surviving candidates are enumerated in exactly the relative order
-// SubsetsAscendingSize would visit them — a caller whose admission filter
-// never rejects a member of a "hit" subset sees the same first hit.
-func SubsetsAscendingSizePruned(ground Set, lo, hi int, admit func(id, size int) bool, sized func(size, kept, total int), fn func(Set) bool) {
-	members := ground.Members()
-	if hi > len(members) {
-		hi = len(members)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	cur := New(ground.cap)
-	pool := make([]int, 0, len(members))
-	for k := lo; k <= hi; k++ {
-		pool = pool[:0]
-		for _, id := range members {
-			if admit == nil || admit(id, k) {
-				pool = append(pool, id)
-			}
-		}
-		if sized != nil {
-			sized(k, len(pool), len(members))
-		}
-		if k > len(pool) {
-			continue
-		}
-		if !combinations(pool, k, cur, nil, nil, fn) {
-			return
-		}
-	}
-}
-
-// SubsetsAscendingSizeHooked is SubsetsAscendingSize with membership-change
-// callbacks: onAdd(id) fires whenever id enters the candidate subset and
-// onRemove(id) whenever it leaves — one call per element transition,
-// including the unwinding after an early stop, so adds and removes always
-// balance. Callers use the hooks to maintain incrementally updated state
-// (e.g. the condition checker's in-degree-from-candidate counters) instead
-// of recomputing per candidate. Either hook may be nil.
-func SubsetsAscendingSizeHooked(ground Set, lo, hi int, onAdd, onRemove func(id int), fn func(Set) bool) {
 	members := ground.Members()
 	if hi > len(members) {
 		hi = len(members)
@@ -390,50 +334,26 @@ func SubsetsAscendingSizeHooked(ground Set, lo, hi int, onAdd, onRemove func(id 
 	}
 	cur := New(ground.cap)
 	for k := lo; k <= hi; k++ {
-		if !combinations(members, k, cur, onAdd, onRemove, fn) {
+		if !combinations(members, k, cur, fn) {
 			return
 		}
 	}
 }
 
-// combinations enumerates all k-subsets of members into cur, calling fn per
-// subset. Returns false if fn requested a stop. With no hooks installed —
-// the exact checker's 2^|W| inner loop — membership updates stay direct,
-// inlinable Set calls.
-func combinations(members []int, k int, cur Set, onAdd, onRemove func(int), fn func(Set) bool) bool {
-	add, del := cur.Add, cur.Remove
-	if onAdd != nil || onRemove != nil {
-		add = func(id int) {
-			cur.Add(id)
-			if onAdd != nil {
-				onAdd(id)
-			}
-		}
-		del = func(id int) {
-			cur.Remove(id)
-			if onRemove != nil {
-				onRemove(id)
-			}
-		}
-	}
+// combinations enumerates all k-subsets of members (k ≤ len(members)) into
+// cur, calling fn per subset, and leaves cur empty. Returns false if fn
+// requested a stop.
+func combinations(members []int, k int, cur Set, fn func(Set) bool) bool {
 	idx := make([]int, k)
 	for i := range idx {
 		idx[i] = i
-		add(members[i])
+		cur.Add(members[i])
 	}
 	defer func() {
 		for _, i := range idx {
-			if i < len(members) {
-				del(members[i])
-			}
+			cur.Remove(members[i])
 		}
 	}()
-	if k == 0 {
-		return fn(cur)
-	}
-	if k > len(members) {
-		return true
-	}
 	for {
 		if !fn(cur) {
 			return false
@@ -446,13 +366,13 @@ func combinations(members []int, k int, cur Set, onAdd, onRemove func(int), fn f
 		if i < 0 {
 			return true
 		}
-		del(members[idx[i]])
+		cur.Remove(members[idx[i]])
 		idx[i]++
-		add(members[idx[i]])
+		cur.Add(members[idx[i]])
 		for j := i + 1; j < k; j++ {
-			del(members[idx[j]])
+			cur.Remove(members[idx[j]])
 			idx[j] = idx[j-1] + 1
-			add(members[idx[j]])
+			cur.Add(members[idx[j]])
 		}
 	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Distributed-scan conformance gate for the coordinator–worker job protocol.
 #
-# Phase 1 (conformance): run `iabc coordinate` over chord:24,2 with two
+# Phase 1 (conformance): run `iabc coordinate` over chord:38,2 with two
 # external `iabc work` processes joined over loopback, and require the
 # maxf/work report lines to be byte-identical to the single-process oracle
 # (`iabc maxf`) — same verdict, same witness-bearing counters, no double
@@ -21,7 +21,9 @@ go build -o "$bin" ./cmd/iabc
 work=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
 
-topo=chord:24,2
+# ~5 s single-process on a 2-vCPU host, so the phase-2 kill at 1 s lands
+# mid-scan.
+topo=chord:38,2
 port=$(( (RANDOM % 10000) + 20000 ))
 addr="127.0.0.1:$port"
 

@@ -22,12 +22,13 @@ import (
 
 // stateKillTopo is the kill-resume workload: large enough that the f sweep
 // runs for seconds (so the kill lands mid-scan and the 1s checkpoint flush
-// has fired), small enough to finish promptly when resumed. chord(24,2)
-// takes ~3.5 s on a 2-vCPU host with the symmetry reduction, which cuts
-// its f = 2 check to one fault set per rotation orbit.
+// has fired), small enough to finish promptly when resumed. chord(38,2)
+// takes ~5 s on a 2-vCPU host: the symmetry reduction cuts its f = 2 check
+// to one fault set per rotation orbit, and the checker's subtree bound
+// skips most of each one's 2^36 candidate sets unvisited.
 func stateKillTopo(t testing.TB) *iabc.Graph {
 	t.Helper()
-	g, err := iabc.Chord(24, 2)
+	g, err := iabc.Chord(38, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
